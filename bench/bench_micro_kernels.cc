@@ -20,6 +20,7 @@
 #include "fft/fft.h"
 #include "stats/rolling.h"
 #include "ts/generators.h"
+#include "window/preaggregate.h"
 #include "window/sma.h"
 
 namespace {
@@ -280,15 +281,16 @@ BENCHMARK(BM_ComplexNormScalar)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_ComplexNormSimd)->Arg(1 << 16)->Arg(1 << 20);
 
 // Streaming ingest: per-point Push vs the pane-granular PushBatch
-// fast path, at a lazy refresh cadence where ingest (not the window
-// search) dominates. range(0) is the batch size handed to the
-// operator per call.
+// path vs timestamped PushTimed, at a lazy refresh cadence where
+// ingest (not the window search) dominates. range(0) is the batch
+// size handed to the operator per call.
 
-asap::StreamingAsap MakeIngestOperator() {
+asap::StreamingAsap MakeIngestOperator(int64_t pane_width_ticks = 0) {
   asap::StreamingOptions options;
   options.resolution = 400;
   options.visible_points = 8000;
   options.refresh_every_points = 100000;  // ingest-bound
+  options.pane_width_ticks = pane_width_ticks;
   return asap::StreamingAsap::Create(options).ValueOrDie();
 }
 
@@ -315,6 +317,26 @@ void BM_StreamingIngestPushBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(chunk));
 }
 BENCHMARK(BM_StreamingIngestPushBatch)->Range(1 << 10, 1 << 16);
+
+void BM_StreamingIngestPushTimed(benchmark::State& state) {
+  // A uniform 1-tick clock with pane_size ticks per pane: the time
+  // grid cuts the same panes the arrival clock does. Stamping each
+  // batch (one store per point) is inside the timed region.
+  const size_t chunk = static_cast<size_t>(state.range(0));
+  std::vector<double> x = MakeSignal(chunk);
+  std::vector<int64_t> ts(chunk);
+  asap::StreamingAsap op = MakeIngestOperator(static_cast<int64_t>(
+      asap::window::PointToPixelRatio(8000, 400)));
+  int64_t clock = 0;
+  for (auto _ : state) {
+    for (int64_t& t : ts) {
+      t = clock++;
+    }
+    benchmark::DoNotOptimize(op.PushTimed(x.data(), ts.data(), x.size()));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(chunk));
+}
+BENCHMARK(BM_StreamingIngestPushTimed)->Range(1 << 10, 1 << 16);
 
 }  // namespace
 

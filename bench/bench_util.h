@@ -23,10 +23,12 @@ inline void Banner(const std::string& title) {
   std::printf("================================================================\n");
 }
 
-/// Prints a row of cells padded to `width` characters each.
+/// Prints a row of cells padded to `width` characters each. Every
+/// cell is followed by at least one space, so a cell that overflows
+/// its column still stays apart from the next one.
 inline void Row(const std::vector<std::string>& cells, int width = 14) {
   for (const std::string& cell : cells) {
-    std::printf("%-*s", width, cell.c_str());
+    std::printf("%-*s ", width - 1, cell.c_str());
   }
   std::printf("\n");
 }

@@ -19,9 +19,11 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define ASAP_PREDICT_TRUE(x) (__builtin_expect(!!(x), 1))
 #define ASAP_PREDICT_FALSE(x) (__builtin_expect(!!(x), 0))
+#define ASAP_ALWAYS_INLINE inline __attribute__((always_inline))
 #else
 #define ASAP_PREDICT_TRUE(x) (x)
 #define ASAP_PREDICT_FALSE(x) (x)
+#define ASAP_ALWAYS_INLINE inline
 #endif
 
 /// Aborts the process if `condition` is false. Active in all build types;

@@ -22,8 +22,8 @@ StreamingAsap::StreamingAsap(const StreamingOptions& options)
       panes_(pane_size_,
              /*max_panes=*/std::max<size_t>(options.visible_points /
                                                 std::max<size_t>(pane_size_, 1),
-                                            4)),
-      published_(std::make_shared<const Frame>()) {}
+                                            4),
+             options.pane_epoch, options.pane_width_ticks) {}
 
 Result<StreamingAsap> StreamingAsap::Create(const StreamingOptions& options) {
   if (options.visible_points < 8) {
@@ -40,95 +40,28 @@ Result<StreamingAsap> StreamingAsap::Create(const StreamingOptions& options) {
   return StreamingAsap(options);
 }
 
-bool StreamingAsap::Push(double x) {
-  ++points_consumed_;
-  ++points_since_refresh_;
-  panes_.Push(x);
-  if (points_since_refresh_ >= refresh_interval_points_ &&
-      panes_.size() >= 4) {
-    Refresh();
-    points_since_refresh_ = 0;
-    return true;
-  }
-  return false;
-}
-
 void StreamingAsap::Prefill(const std::vector<double>& xs) {
-  panes_.PushBulk(xs.data(), xs.size());
-  points_consumed_ += xs.size();
-  points_since_refresh_ = 0;
+  Ingest(xs.data(), nullptr, xs.size(), /*refresh=*/false);
 }
 
 size_t StreamingAsap::PushBatch(const double* xs, size_t n) {
-  size_t refreshes = 0;
-  size_t i = 0;
-  while (i < n) {
-    // Distance to the first point after which the refresh condition
-    // (points_since_refresh_ >= interval AND >= 4 complete panes) can
-    // hold. Both conditions are monotone within a chunk, so the
-    // earliest firing point is the max of the two distances — every
-    // point before it is safe to bulk-append with no boundary check.
-    const size_t until_interval =
-        points_since_refresh_ >= refresh_interval_points_
-            ? 1
-            : refresh_interval_points_ - points_since_refresh_;
-    const size_t until_panes = panes_.PointsUntilPaneCount(4);
-    const size_t stop =
-        std::max<size_t>(std::max(until_interval, until_panes), 1);
-    const size_t chunk = std::min(stop, n - i);
-    panes_.PushBulk(xs + i, chunk);
-    points_consumed_ += chunk;
-    points_since_refresh_ += chunk;
-    i += chunk;
-    if (points_since_refresh_ >= refresh_interval_points_ &&
-        panes_.size() >= 4) {
-      Refresh();
-      points_since_refresh_ = 0;
-      ++refreshes;
-    }
-  }
-  return refreshes;
+  return Ingest(xs, nullptr, n, /*refresh=*/true);
 }
 
 size_t StreamingAsap::PushTimed(const double* xs, const int64_t* ts,
                                 size_t n) {
-  ASAP_CHECK_GT(options_.pane_width_ticks, 0);
-  size_t refreshes = 0;
-  for (size_t i = 0; i < n; ++i) {
-    panes_.PushTimed(xs[i],
-                     window::PaneIndexForTs(ts[i], options_.pane_epoch,
-                                            options_.pane_width_ticks));
-    ++points_consumed_;
-    ++points_since_refresh_;
-    if (points_since_refresh_ >= refresh_interval_points_ &&
-        panes_.size() >= 4) {
-      Refresh();
-      points_since_refresh_ = 0;
-      ++refreshes;
-    }
-  }
-  return refreshes;
+  ASAP_CHECK(ts == nullptr || options_.pane_width_ticks > 0);
+  return Ingest(xs, ts, n, /*refresh=*/true);
 }
 
-void StreamingAsap::RestorePanes(const double* means, size_t n,
-                                 bool cadenced) {
-  if (!cadenced) {
-    panes_.RestoreCompleted(means, n);
-    points_consumed_ += n * pane_size_;
-    points_since_refresh_ = 0;
-    if (panes_.size() >= 4) {
-      Refresh();
-    }
-    return;
-  }
+void StreamingAsap::RestorePanes(const double* means, size_t n) {
   // Replay the live refresh cadence one pane at a time: each restored
   // pane advances the point clock by pane_size, firing Refresh at
   // exactly the boundaries live ingestion would have (boundaries are
   // pane-aligned whenever refresh_interval_points is a multiple of
   // pane_size — in particular for the refresh-per-pane default).
   for (size_t i = 0; i < n; ++i) {
-    panes_.RestoreCompleted(means + i, 1);
-    points_consumed_ += pane_size_;
+    panes_.RestoreCompleted(means[i]);
     points_since_refresh_ += pane_size_;
     if (points_since_refresh_ >= refresh_interval_points_ &&
         panes_.size() >= 4) {
@@ -140,28 +73,18 @@ void StreamingAsap::RestorePanes(const double* means, size_t n,
 
 std::shared_ptr<const StreamingAsap::Frame> StreamingAsap::frame_snapshot()
     const {
-  if (options_.snapshot_ring_frames > 1) {
-    // The ring is the single publication point when K > 1, so
-    // frame_snapshot() and FrameHistory().back() can never disagree.
-    const std::shared_ptr<const FrameRing> ring = std::atomic_load_explicit(
-        &published_ring_, std::memory_order_acquire);
-    if (ring != nullptr) {
-      return ring->back();
-    }
-    // No refresh yet: fall through to the initial empty frame.
+  const std::shared_ptr<const FrameRing> ring =
+      std::atomic_load_explicit(&published_ring_, std::memory_order_acquire);
+  if (ring != nullptr) {
+    return ring->back();
   }
-  return std::atomic_load_explicit(&published_, std::memory_order_acquire);
+  static const std::shared_ptr<const Frame> kEmpty =
+      std::make_shared<const Frame>();
+  return kEmpty;
 }
 
 std::vector<std::shared_ptr<const StreamingAsap::Frame>>
 StreamingAsap::FrameHistory() const {
-  if (options_.snapshot_ring_frames <= 1) {
-    std::shared_ptr<const Frame> latest = frame_snapshot();
-    if (latest->refreshes == 0) {
-      return {};
-    }
-    return {std::move(latest)};
-  }
   const std::shared_ptr<const FrameRing> ring =
       std::atomic_load_explicit(&published_ring_, std::memory_order_acquire);
   return ring == nullptr ? FrameRing{} : *ring;
@@ -242,21 +165,13 @@ void StreamingAsap::Refresh() {
   previous_window_ = result.window;
 
   // Publish the refreshed frame for lock-free snapshot readers (the
-  // sharded engine's dashboards read frames mid-run through this).
-  // Exactly one publication point per mode: published_ when K == 1,
-  // the ring when K > 1 (frame_snapshot() serves ring->back() then),
-  // so snapshot and history can never be observed out of step.
+  // sharded engine's dashboards read frames mid-run through this) by
+  // republishing the snapshot ring as a whole: a new vector sharing
+  // the previous ring's frame pointers (cheap — K-1 shared_ptr
+  // copies), so readers always see an immutable, internally
+  // consistent history. K == 1 is a one-frame ring.
   std::shared_ptr<const Frame> fresh = std::make_shared<Frame>(frame_);
   const size_t ring_frames = options_.snapshot_ring_frames;
-  if (ring_frames <= 1) {
-    std::atomic_store_explicit(&published_, std::move(fresh),
-                               std::memory_order_release);
-    return;
-  }
-  // Republish the snapshot ring as a whole: a new vector sharing the
-  // previous ring's frame pointers (cheap — K-1 shared_ptr copies),
-  // so readers always see an immutable, internally consistent
-  // history.
   const std::shared_ptr<const FrameRing> old = std::atomic_load_explicit(
       &published_ring_, std::memory_order_acquire);
   auto ring = std::make_shared<FrameRing>();

@@ -19,10 +19,12 @@
 #ifndef ASAP_CORE_STREAMING_ASAP_H_
 #define ASAP_CORE_STREAMING_ASAP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/result.h"
 #include "core/series_context.h"
 #include "core/smooth.h"
@@ -53,25 +55,24 @@ struct StreamingOptions {
   SearchStrategy strategy = SearchStrategy::kAsap;
 
   /// Published frames retained for snapshot readers (the snapshot
-  /// ring). 1 keeps only the latest (the original behavior, with zero
-  /// extra cost); K > 1 lets dashboard readers diff the last K
-  /// refreshes for incremental rendering. Must be >= 1.
+  /// ring). 1 keeps only the latest; K > 1 lets dashboard readers diff
+  /// the last K refreshes for incremental rendering. Must be >= 1.
   size_t snapshot_ring_frames = 1;
 
-  /// Timed pane mode. When pane_width_ticks > 0 the operator assigns
-  /// points to panes by *timestamp* instead of arrival count: a point
-  /// with timestamp ts lands in pane floor((ts - pane_epoch) /
-  /// pane_width_ticks), ingested via PushTimed. The in-progress pane
-  /// commits when a point of a different pane index arrives, so a
-  /// pane holds however many points actually fell in its time bucket
-  /// — the fix for the arrival-order pane-stamping bug class, where
-  /// wall-clock skew between collectors smeared points across pane
-  /// boundaries. 0 (the default) keeps the arrival-count mode bit-
-  /// for-bit: Record::ts is never read. Both must be >= 0; choose
-  /// pane_width_ticks so a bucket covers ~pane_size() points of the
-  /// expected point rate (e.g. pane_size * tick period) — pane means
-  /// then match the arrival-order pane means whenever input arrives
-  /// in time order at a uniform rate.
+  /// The time grid PushTimed places points on. When pane_width_ticks
+  /// > 0, a point with timestamp ts lands in pane floor((ts -
+  /// pane_epoch) / pane_width_ticks), and the in-progress pane commits
+  /// when a point of a different pane index arrives, so a pane holds
+  /// however many points actually fell in its time bucket — the fix
+  /// for the arrival-order pane-stamping bug class, where wall-clock
+  /// skew between collectors smeared points across pane boundaries.
+  /// Push, PushBatch and Prefill always use the arrival clock (a pane
+  /// every pane_size points); with 0 (the default) the fleet engine
+  /// feeds the arrival clock too and never reads Record::ts. Must be
+  /// >= 0; choose pane_width_ticks so a bucket covers ~pane_size()
+  /// points of the expected point rate (e.g. pane_size * tick period)
+  /// — pane means then match the arrival-order pane means whenever
+  /// input arrives in time order at a uniform rate.
   int64_t pane_epoch = 0;
   int64_t pane_width_ticks = 0;
 
@@ -109,7 +110,9 @@ class StreamingAsap {
   static Result<StreamingAsap> Create(const StreamingOptions& options);
 
   /// Ingests one raw point; returns true iff a refresh happened.
-  bool Push(double x);
+  bool Push(double x) {
+    return Ingest(&x, nullptr, 1, /*refresh=*/true) != 0;
+  }
 
   /// Loads historical points into the pane buffer WITHOUT triggering
   /// refreshes (bootstrap from a backfill, or bench warm-up so that
@@ -117,23 +120,24 @@ class StreamingAsap {
   void Prefill(const std::vector<double>& xs);
 
   /// Ingests a batch; returns the number of refreshes triggered.
-  /// Fast path: points are bulk-appended a pane (or a refresh
-  /// interval) at a time, with refresh boundaries checked per chunk
-  /// instead of per point — refresh-for-refresh identical to calling
-  /// Push() on each point.
+  /// Points are bulk-appended up to the next refresh-interval boundary
+  /// at a time, with the refresh condition checked per chunk instead
+  /// of per point — refresh-for-refresh identical to calling Push()
+  /// on each point.
   size_t PushBatch(const double* xs, size_t n);
   size_t PushBatch(const std::vector<double>& xs) {
     return PushBatch(xs.data(), xs.size());
   }
 
-  /// Timed-mode batch ingest (requires pane_width_ticks > 0): point i
-  /// carries value xs[i] and timestamp ts[i]; each lands in the pane
-  /// its timestamp maps to (see StreamingOptions::pane_width_ticks).
-  /// The refresh condition is checked per point exactly as Push()
-  /// does. Returns the number of refreshes triggered. Callers feed
-  /// points in non-decreasing ts order per series (the sequencer's
-  /// output order); out-of-order input within a pane is tolerated,
-  /// across panes it would reopen a committed bucket as a new pane.
+  /// Timestamped batch ingest: point i carries value xs[i] and
+  /// timestamp ts[i] and lands in the pane its timestamp maps to (see
+  /// StreamingOptions::pane_width_ticks, which must then be > 0).
+  /// ts == nullptr is the arrival clock, exactly PushBatch. Refreshes
+  /// fire exactly where per-point ingest would fire them. Returns the
+  /// number of refreshes triggered. Callers feed points in
+  /// non-decreasing ts order per series (the sequencer's output
+  /// order); out-of-order input within a pane is tolerated, across
+  /// panes it would reopen a committed bucket as a new pane.
   size_t PushTimed(const double* xs, const int64_t* ts, size_t n);
 
   /// Forces a refresh now (used when the user scrolls/zooms).
@@ -148,23 +152,22 @@ class StreamingAsap {
 
   /// Restores `n` recovered pane means as already-complete panes,
   /// advancing the point clock by n * pane_size and NOT firing the
-  /// pane sink (the panes are already durable). With cadenced == true
-  /// the refresh schedule live ingestion would have run is replayed
-  /// pane by pane — frames (and the snapshot ring) come out identical
-  /// to an uninterrupted run whenever refresh_interval_points is a
-  /// multiple of pane_size (always true for the refresh-per-pane
-  /// default). With cadenced == false the panes load in bulk and a
-  /// single Refresh renders the final frame (fast-forward recovery).
-  /// Only legal before any live point is pushed.
-  void RestorePanes(const double* means, size_t n, bool cadenced);
+  /// pane sink (the panes are already durable). The refresh schedule
+  /// live ingestion would have run is replayed pane by pane — frames
+  /// (and the snapshot ring) come out identical to an uninterrupted
+  /// run whenever refresh_interval_points is a multiple of pane_size
+  /// (always true for the refresh-per-pane default). Only legal
+  /// before any live point is pushed.
+  void RestorePanes(const double* means, size_t n);
 
   const Frame& frame() const { return frame_; }
 
   /// Snapshot of the most recent frame, safe to call from any thread
-  /// while another thread is pushing points: each refresh publishes
-  /// its frame behind an atomically swapped shared_ptr, so readers
-  /// never block the ingest path and no copy is made to serve a read.
-  /// Never null; before the first refresh it points at an empty Frame.
+  /// while another thread is pushing points: it is the back() of the
+  /// snapshot ring each refresh publishes behind an atomically swapped
+  /// shared_ptr, so readers never block the ingest path and no copy
+  /// is made to serve a read. Never null; before the first refresh it
+  /// points at an empty Frame.
   std::shared_ptr<const Frame> frame_snapshot() const;
 
   /// The last min(snapshot_ring_frames, refreshes) published frames,
@@ -175,7 +178,7 @@ class StreamingAsap {
   std::vector<std::shared_ptr<const Frame>> FrameHistory() const;
 
   /// Raw points consumed so far.
-  uint64_t points_consumed() const { return points_consumed_; }
+  uint64_t points_consumed() const { return panes_.points_consumed(); }
 
   /// Points per pane (the point-to-pixel ratio in effect).
   size_t pane_size() const { return pane_size_; }
@@ -186,11 +189,17 @@ class StreamingAsap {
  private:
   explicit StreamingAsap(const StreamingOptions& options);
 
+  /// The one ingest loop behind Push, PushBatch, PushTimed and
+  /// Prefill (ts == nullptr: arrival clock). Appends in chunks up to
+  /// the next refresh-interval boundary; with `refresh` false the
+  /// points load without refreshing and the interval restarts.
+  /// Returns the number of refreshes triggered.
+  size_t Ingest(const double* xs, const int64_t* ts, size_t n, bool refresh);
+
   StreamingOptions options_;
   size_t pane_size_ = 1;
   size_t refresh_interval_points_ = 1;
   window::PaneBuffer panes_;
-  uint64_t points_consumed_ = 0;
   uint64_t points_since_refresh_ = 0;
 
   AsapState state_;
@@ -202,16 +211,49 @@ class StreamingAsap {
   bool has_previous_window_ = false;
   size_t previous_window_ = 1;
   Frame frame_;
-  /// Published copy of frame_ when snapshot_ring_frames == 1, swapped
-  /// atomically at the end of each refresh; with K > 1 it only holds
-  /// the pre-first-refresh empty frame (the ring publishes instead).
-  std::shared_ptr<const Frame> published_;
-  /// The snapshot ring (oldest first): the single publication point
-  /// when snapshot_ring_frames > 1, so frame_snapshot() (serving
-  /// back()) and FrameHistory() can never be observed out of step.
+  /// The snapshot ring (oldest first, at most snapshot_ring_frames
+  /// frames; null before the first refresh): the single publication
+  /// point, swapped atomically at the end of each refresh, so
+  /// frame_snapshot() (serving back()) and FrameHistory() can never
+  /// be observed out of step.
   using FrameRing = std::vector<std::shared_ptr<const Frame>>;
   std::shared_ptr<const FrameRing> published_ring_;
 };
+
+// Forced inline: Push forwards one point at a time, and an outlined
+// loop costs per-point callers (the alert monitor) a call and the
+// chunk bookkeeping per point.
+ASAP_ALWAYS_INLINE size_t StreamingAsap::Ingest(const double* xs,
+                                                const int64_t* ts, size_t n,
+                                                bool refresh) {
+  size_t refreshes = 0;
+  for (size_t i = 0; i < n;) {
+    // The refresh condition (points_since_refresh_ >= interval AND
+    // >= 4 complete panes) cannot hold before the interval boundary,
+    // so every point up to it appends unchecked, on either clock.
+    // Past the boundary with fewer than 4 panes (warm-up only) points
+    // go one at a time.
+    const size_t room =
+        !refresh ? n - i
+        : points_since_refresh_ < refresh_interval_points_
+            ? refresh_interval_points_ - points_since_refresh_
+            : 1;
+    const size_t chunk = std::min(n - i, room);
+    panes_.Append(xs + i, ts == nullptr ? nullptr : ts + i, chunk);
+    i += chunk;
+    points_since_refresh_ += chunk;
+    if (refresh && points_since_refresh_ >= refresh_interval_points_ &&
+        panes_.size() >= 4) {
+      Refresh();
+      points_since_refresh_ = 0;
+      ++refreshes;
+    }
+  }
+  if (!refresh) {
+    points_since_refresh_ = 0;
+  }
+  return refreshes;
+}
 
 }  // namespace asap
 

@@ -63,8 +63,7 @@ struct WireServer::Core {
     std::shared_ptr<telemetry::Counter> batch_records;
     std::shared_ptr<telemetry::Counter> accepted;
     std::shared_ptr<telemetry::Counter> handoffs;
-    /// Records every flushed batch's size; WireLoopStats'
-    /// batch_size_hist is reconstructed from its snapshot.
+    /// Records every flushed batch's size (asap_wire_batch_size).
     std::shared_ptr<telemetry::LatencyHistogram> batch_size;
     /// Per-connection drain-to-EAGAIN decode latency.
     std::shared_ptr<telemetry::LatencyHistogram> decode_nanos;
@@ -879,24 +878,6 @@ WireServerStats WireServer::stats() const {
     ls.batch_records = lc.batch_records->Value();
     ls.accepted = lc.accepted->Value();
     ls.handoffs = lc.handoffs->Value();
-    // Reconstruct the log-4 batch-size buckets from the registry
-    // histogram. Every threshold below is 2^k - 1, and 2^k is a bucket
-    // boundary of the base-2 layout, so each cumulative count — and
-    // hence each difference — is exact, not an estimate.
-    {
-      const telemetry::LatencyHistogram::Snapshot snap =
-          lc.batch_size->TakeSnapshot();
-      uint64_t prev = 0;
-      for (size_t b = 0; b + 1 < WireLoopStats::kBatchSizeBuckets; ++b) {
-        // Upper bounds 1, 3, 15, 63, 255, 1023, 4095 (inclusive).
-        const uint64_t bound = (b == 0) ? 1 : (uint64_t{1} << (2 * b)) - 1;
-        const uint64_t cum = snap.CountAtMost(bound);
-        ls.batch_size_hist[b] = cum - prev;
-        prev = cum;
-      }
-      ls.batch_size_hist[WireLoopStats::kBatchSizeBuckets - 1] =
-          snap.count - prev;
-    }
     s.wakeups += ls.wakeups;
     s.events += ls.events;
     s.batches += ls.batches;

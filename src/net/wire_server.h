@@ -134,13 +134,6 @@ struct WireLoopStats {
   uint64_t accepted = 0;
   /// Of those, connections adopted via the fd-handoff mailbox.
   uint64_t handoffs = 0;
-
-  /// Batch-size histogram, log-4 buckets (lower-inclusive):
-  /// [1], [2,4), [4,16), [16,64), [64,256), [256,1k), [1k,4k), >=4k.
-  /// Reconstructed exactly from the asap_wire_batch_size registry
-  /// histogram — every power of two is one of its bucket boundaries.
-  static constexpr size_t kBatchSizeBuckets = 8;
-  uint64_t batch_size_hist[kBatchSizeBuckets] = {};
 };
 
 /// Lifetime ingest counters (aggregated over closed connections too).

@@ -84,7 +84,9 @@ void DurableStore::RegisterMetrics() {
       {"asap_store_wal_append_seconds", "WAL append latency per batch frame",
        {}, 1e-9});
   fsync_nanos_ = m->GetHistogram(
-      {"asap_store_fsync_seconds", "WAL fdatasync latency", {}, 1e-9});
+      {"asap_store_fsync_seconds",
+       "WAL fsync latency (batch syncs, segment seals and creation)", {},
+       1e-9});
   compaction_nanos_ = m->GetHistogram(
       {"asap_store_compaction_seconds",
        "Latency of one compaction pass (chunk write + manifest publish)",
@@ -92,7 +94,7 @@ void DurableStore::RegisterMetrics() {
   wal_bytes_total_ = m->GetCounter(
       {"asap_store_wal_bytes_total", "Bytes appended to the WAL"});
   fsync_total_ =
-      m->GetCounter({"asap_store_fsync_total", "WAL fdatasync calls"});
+      m->GetCounter({"asap_store_fsync_total", "WAL fsync calls"});
   segments_sealed_total_ = m->GetCounter(
       {"asap_store_wal_segments_sealed_total", "WAL segments sealed"});
   panes_total_ = m->GetCounter(

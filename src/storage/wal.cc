@@ -13,6 +13,23 @@ namespace storage {
 
 namespace {
 
+/// Runs one fsync under the WAL's fsync instruments. Every WAL fsync —
+/// group-commit syncs, segment seals, segment creation and its
+/// directory entry — goes through here, so asap_store_fsync_seconds
+/// and asap_store_fsync_total count them all.
+template <typename SyncFn>
+Status TimedSync(const WalOptions& options, SyncFn sync) {
+  Status s = Status::OK();
+  {
+    telemetry::ScopedTimer timer(options.fsync_nanos);
+    s = sync();
+  }
+  if (s.ok() && options.fsync_total != nullptr) {
+    options.fsync_total->Increment();
+  }
+  return s;
+}
+
 void PutU32(uint32_t v, std::string* out) {
   char buf[4];
   buf[0] = static_cast<char>(v & 0xFF);
@@ -111,8 +128,8 @@ Status Wal::OpenLiveSegment(uint32_t seq) {
   AppendSegmentHeader(seq, &header);
   ASAP_RETURN_NOT_OK(WriteFull(f.fd(), header.data(), header.size()));
   // Make the segment's existence durable before anything relies on it.
-  ASAP_RETURN_NOT_OK(SyncFd(f.fd()));
-  ASAP_RETURN_NOT_OK(SyncDir(dir_));
+  ASAP_RETURN_NOT_OK(TimedSync(options_, [&] { return SyncFd(f.fd()); }));
+  ASAP_RETURN_NOT_OK(TimedSync(options_, [&] { return SyncDir(dir_); }));
   live_ = std::move(f);
   live_seq_ = seq;
   live_bytes_ = header.size();
@@ -189,12 +206,8 @@ void Wal::FlushUntilLocked(std::unique_lock<std::mutex>& lock, uint64_t target,
     }
     bool synced = false;
     if (s.ok() && do_sync) {
-      telemetry::ScopedTimer timer(options_.fsync_nanos);
-      s = SyncFd(live_.fd());
+      s = TimedSync(options_, [&] { return SyncFd(live_.fd()); });
       synced = s.ok();
-      if (synced && options_.fsync_total != nullptr) {
-        options_.fsync_total->Increment();
-      }
     }
 
     lock.lock();
@@ -225,7 +238,7 @@ Status Wal::RollInternal() {
   // Sealed content must be durable: compaction reads it back and then
   // deletes the file, so its bytes cannot be weaker than the chunk
   // that replaces them.
-  ASAP_RETURN_NOT_OK(SyncFd(live_.fd()));
+  ASAP_RETURN_NOT_OK(TimedSync(options_, [&] { return SyncFd(live_.fd()); }));
   const uint32_t sealed_seq = live_seq_;
   live_.Close();
   ASAP_RETURN_NOT_OK(OpenLiveSegment(sealed_seq + 1));

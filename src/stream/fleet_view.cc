@@ -246,7 +246,7 @@ FleetView::DeepHistory(std::string_view name, size_t max_frames) const {
   if (!store->ReadPanes(sid.ValueOrDie(), skip, total - skip, &means).ok()) {
     return {};
   }
-  op->RestorePanes(means.data(), means.size(), /*cadenced=*/true);
+  op->RestorePanes(means.data(), means.size());
   return op->FrameHistory();
 }
 

@@ -3,12 +3,13 @@
 // queue and the streaming operators.
 //
 // Why it exists: timed pane mode (StreamingOptions::pane_width_ticks)
-// stamps panes from record timestamps, and PaneBuffer::PushTimed
-// closes a pane when a point of a *different* time bucket arrives. A
-// collector fleet delivers records only approximately in time order —
-// network interleaving and wall-clock skew reorder them — and feeding
-// a timed pane buffer out-of-order would thrash pane commits (the
-// arrival-order pane-stamping bug class this sequencer fixes).
+// stamps panes from record timestamps, and a timestamped
+// PaneBuffer::Append closes a pane when a point of a *different* time
+// bucket arrives. A collector fleet delivers records only
+// approximately in time order — network interleaving and wall-clock
+// skew reorder them — and feeding a timed pane buffer out-of-order
+// would thrash pane commits (the arrival-order pane-stamping bug
+// class this sequencer fixes).
 //
 // Model: records are staged in sorted runs (a batch is sorted once,
 // then appended to a run it extends or opens a new one); a watermark

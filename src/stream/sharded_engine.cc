@@ -294,14 +294,14 @@ struct ShardedEngine::Shard {
 
   /// Feeds one ordered batch into the shard's operators. Records of
   /// one series are contiguous runs within a batch only by accident;
-  /// the loop groups whatever runs exist so full panes take
-  /// StreamingAsap's bulk-append fast path (timed mode feeds the same
-  /// runs through PushTimed with the run's timestamps). registry_mu
-  /// is held only around the map lookup/insert — never across
-  /// PushBatch — so a concurrent Snapshot waits for a pointer chase,
-  /// not a window search. The operator pointer stays valid outside
-  /// the lock: unordered_map never invalidates references on insert,
-  /// and this worker is the shard's only mutator.
+  /// the loop groups whatever runs exist so each run takes
+  /// StreamingAsap's bulk-append path (in timed mode with the run's
+  /// timestamps). registry_mu is held only around the map
+  /// lookup/insert — never across PushTimed — so a concurrent
+  /// Snapshot waits for a pointer chase, not a window search. The
+  /// operator pointer stays valid outside the lock: unordered_map
+  /// never invalidates references on insert, and this worker is the
+  /// shard's only mutator.
   void ProcessRecords(const RecordBatch& batch) {
     size_t i = 0;
     flat_panes.clear();
@@ -372,13 +372,10 @@ struct ShardedEngine::Shard {
     }
   }
 
-  /// One series run into its operator, in the mode the engine runs in.
+  /// One series run into its operator, on the clock the engine runs.
   void PushRun(StreamingAsap* op) {
-    if (timed) {
-      op->PushTimed(run_values.data(), run_ts.data(), run_values.size());
-    } else {
-      op->PushBatch(run_values.data(), run_values.size());
-    }
+    op->PushTimed(run_values.data(), timed ? run_ts.data() : nullptr,
+                  run_values.size());
   }
 
   /// Consumes queued batches until the queue closes and drains. With
@@ -561,8 +558,7 @@ ShardedEngine::FrameHistoryById(SeriesId id) const {
 }
 
 Status ShardedEngine::RestoreSeries(std::string_view name,
-                                    const double* pane_means, size_t n,
-                                    bool cadenced) {
+                                    const double* pane_means, size_t n) {
   if (!IsValidSeriesName(name)) {
     return Status::InvalidArgument("RestoreSeries: invalid series name");
   }
@@ -581,7 +577,7 @@ Status ShardedEngine::RestoreSeries(std::string_view name,
   }
   // No sink: these panes are already durable (restore must never echo
   // them back into the store).
-  op->RestorePanes(pane_means, n, cadenced);
+  op->RestorePanes(pane_means, n);
   return Status::OK();
 }
 

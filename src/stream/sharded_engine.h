@@ -285,12 +285,12 @@ class ShardedEngine {
   /// Restores one recovered series: interns `name`, creates its
   /// operator on the owning shard, and replays `n` pane means as
   /// already-complete panes (see StreamingAsap::RestorePanes; the
-  /// pane sink does NOT fire — the panes are already durable). With
-  /// cadenced == true the live refresh cadence is replayed so frames
-  /// and the snapshot ring come out identical to an uninterrupted
-  /// run. Only legal between runs.
+  /// pane sink does NOT fire — the panes are already durable). The
+  /// live refresh cadence is replayed so frames and the snapshot ring
+  /// come out identical to an uninterrupted run. Only legal between
+  /// runs.
   Status RestoreSeries(std::string_view name, const double* pane_means,
-                       size_t n, bool cadenced);
+                       size_t n);
 
   /// Read access to one shard's series table. Contract: deep reads
   /// through the registry (iteration, frame() on operators) are

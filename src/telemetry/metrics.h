@@ -144,9 +144,7 @@ class Gauge {
 /// worst-case relative error of 1/16 (6.25%) on any quantile. The
 /// layout is fixed at compile time, so two snapshots merge by adding
 /// bucket counts — associative and commutative — and every power of
-/// two (hence every power of four) is an exact bucket boundary, which
-/// lets the wire tier reconstruct its legacy log-4 batch-size
-/// histogram from CountAtMost() without error.
+/// two is an exact bucket boundary.
 class LatencyHistogram {
  public:
   static constexpr unsigned kSubBits = 4;               // 16 sub-buckets/octave
@@ -232,17 +230,6 @@ class LatencyHistogram {
         if (seen >= rank) return BucketMidpoint(i);
       }
       return max;
-    }
-
-    /// Number of recorded values <= `threshold`. Exact whenever
-    /// `threshold + 1` is a bucket lower bound (all powers of two are).
-    uint64_t CountAtMost(uint64_t threshold) const {
-      uint64_t total = 0;
-      for (unsigned i = 0; i < kBucketCount; ++i) {
-        if (BucketLowerBound(i) > threshold) break;
-        total += counts[i];
-      }
-      return total;
     }
 
     double Mean() const {

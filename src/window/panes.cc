@@ -63,70 +63,13 @@ std::vector<double> PaneSma(const std::vector<double>& x, size_t w,
   return out;
 }
 
-PaneBuffer::PaneBuffer(size_t pane_size, size_t max_panes)
-    : pane_size_(pane_size), max_panes_(max_panes) {
+PaneBuffer::PaneBuffer(size_t pane_size, size_t max_panes, int64_t epoch,
+                       int64_t width_ticks)
+    : pane_size_(pane_size),
+      max_panes_(max_panes),
+      epoch_(epoch),
+      width_ticks_(width_ticks) {
   ASAP_CHECK_GE(pane_size, 1u);
-}
-
-bool PaneBuffer::Push(double x) {
-  ++points_consumed_;
-  current_.sum += x;
-  current_.count += 1;
-  if (current_.count < pane_size_) {
-    return false;
-  }
-  CommitCurrent();
-  return true;
-}
-
-void PaneBuffer::PushBulk(const double* xs, size_t n) {
-  ASAP_CHECK(xs != nullptr || n == 0);
-  points_consumed_ += n;
-  size_t i = 0;
-  // Top off the in-progress pane point by point.
-  while (i < n && current_.count != 0) {
-    current_.sum += xs[i++];
-    current_.count += 1;
-    if (current_.count == pane_size_) {
-      CommitCurrent();
-    }
-  }
-  // Whole panes: one tight sum per pane, one branch per pane.
-  while (n - i >= pane_size_) {
-    double sum = 0.0;
-    for (size_t j = 0; j < pane_size_; ++j) {
-      sum += xs[i + j];
-    }
-    i += pane_size_;
-    current_.sum = sum;
-    current_.count = pane_size_;
-    CommitCurrent();
-  }
-  // Remainder starts the next in-progress pane.
-  for (; i < n; ++i) {
-    current_.sum += xs[i];
-    current_.count += 1;
-  }
-}
-
-bool PaneBuffer::PushTimed(double x, int64_t pane_index) {
-  bool committed = false;
-  if (current_.count > 0 && pane_index != current_pane_index_) {
-    CommitCurrent();
-    committed = true;
-  }
-  current_pane_index_ = pane_index;
-  ++points_consumed_;
-  current_.sum += x;
-  current_.count += 1;
-  return committed;
-}
-
-size_t PaneBuffer::PointsUntilPaneCount(size_t target) const {
-  if (panes_.size() >= target) {
-    return 0;
-  }
-  return (target - panes_.size()) * pane_size_ - current_.count;
 }
 
 void PaneBuffer::CommitCurrent() {
@@ -142,16 +85,13 @@ void PaneBuffer::CommitCurrent() {
   }
 }
 
-void PaneBuffer::RestoreCompleted(const double* means, size_t n) {
-  ASAP_CHECK(means != nullptr || n == 0);
+void PaneBuffer::RestoreCompleted(double mean) {
   ASAP_CHECK_EQ(current_.count, 0u);  // restore precedes live ingest
-  points_consumed_ += n * pane_size_;
-  for (size_t i = 0; i < n; ++i) {
-    // {sum: mean, count: 1} makes Mean() the recorded value bitwise.
-    panes_.push_back(Pane{means[i], 1});
-    if (max_panes_ != 0 && panes_.size() > max_panes_) {
-      panes_.pop_front();
-    }
+  points_consumed_ += pane_size_;
+  // {sum: mean, count: 1} makes Mean() the recorded value bitwise.
+  panes_.push_back(Pane{mean, 1});
+  if (max_panes_ != 0 && panes_.size() > max_panes_) {
+    panes_.pop_front();
   }
 }
 

@@ -54,9 +54,12 @@ inline int64_t PaneIndexForTs(int64_t ts, int64_t epoch, int64_t width) {
 std::vector<double> PaneSma(const std::vector<double>& x, size_t w,
                             size_t slide);
 
-/// Streaming pane builder: accumulates raw points into fixed-size panes
-/// and retains the most recent `max_panes` of them (the visible window
-/// of Streaming ASAP).
+/// Streaming pane builder: accumulates raw points into panes and
+/// retains the most recent `max_panes` of them (the visible window of
+/// Streaming ASAP). A pane closes on one of two clocks, chosen per
+/// Append call (do not mix them on one buffer): the arrival clock
+/// (every `pane_size` points) or the time grid (a bucket of
+/// `width_ticks` ticks anchored at `epoch`).
 class PaneBuffer {
  public:
   /// Observer fired once per *completed* pane with its mean — the
@@ -65,29 +68,60 @@ class PaneBuffer {
   /// no-sink case a single branch on the pane-commit path.
   using PaneSink = void (*)(void* ctx, double mean);
 
-  /// pane_size: points per pane; max_panes: retained pane count
-  /// (0 = unbounded).
-  PaneBuffer(size_t pane_size, size_t max_panes);
+  /// pane_size: points per pane on the arrival clock; max_panes:
+  /// retained pane count (0 = unbounded); epoch/width_ticks: the time
+  /// grid timestamped Appends use (width_ticks 0 = no time grid).
+  PaneBuffer(size_t pane_size, size_t max_panes, int64_t epoch = 0,
+             int64_t width_ticks = 0);
 
-  /// Pushes one raw point. Returns true if a pane was completed
-  /// (i.e. the preaggregated series grew by one).
-  bool Push(double x);
+  /// Appends n raw points in arrival order — the one ingest routine.
+  /// ts == nullptr is the arrival clock: a pane holds pane_size points
+  /// and commits on its last one. Otherwise point i lands in time
+  /// bucket PaneIndexForTs(ts[i], epoch, width_ticks) (requires
+  /// width_ticks > 0), and the in-progress pane commits when a point
+  /// of a *different* bucket arrives, so a pane holds however many
+  /// points fell in its bucket. Either way each pane's points are
+  /// summed in one tight loop, in arrival order: the state is bitwise
+  /// that of n one-point Appends. Inline because per-point callers
+  /// (Push, StreamingAsap::Push) would pay a call per point.
+  void Append(const double* xs, const int64_t* ts, size_t n) {
+    points_consumed_ += n;
+    if (ts == nullptr) {
+      // Runs that fill the in-progress pane commit it; the remainder
+      // (shorter than a pane) stays in progress.
+      while (n >= pane_size_ - current_.count) {
+        const size_t run = pane_size_ - current_.count;
+        Accumulate(xs, run);
+        CommitCurrent();
+        xs += run;
+        n -= run;
+      }
+      Accumulate(xs, n);
+      return;
+    }
+    size_t i = 0;
+    while (i < n) {
+      const int64_t index = PaneIndexForTs(ts[i], epoch_, width_ticks_);
+      if (current_.count != 0 && index != current_index_) {
+        CommitCurrent();
+      }
+      current_index_ = index;
+      size_t end = i + 1;
+      while (end < n &&
+             PaneIndexForTs(ts[end], epoch_, width_ticks_) == index) {
+        ++end;
+      }
+      Accumulate(xs + i, end - i);
+      i = end;
+    }
+  }
 
-  /// Bulk-appends n raw points: tops off the in-progress pane, then
-  /// accumulates whole panes in tight sum loops instead of branching
-  /// per point. State is exactly as after n Push() calls.
-  void PushBulk(const double* xs, size_t n);
-
-  /// Timed pane mode: accumulates x into the pane identified by
-  /// `pane_index` (a time bucket the caller derives from the point's
-  /// timestamp). The in-progress pane commits when a point of a
-  /// *different* index arrives — panes close on time-bucket
-  /// boundaries, never on a point count, so a pane holds however many
-  /// points fell in its bucket. Returns true if this call committed a
-  /// pane. Do not mix with Push/PushBulk on one buffer: count mode
-  /// never reads the index, timed mode never reads pane_size (beyond
-  /// PointsUntilPaneCount estimates).
-  bool PushTimed(double x, int64_t pane_index);
+  /// One point on the arrival clock. Returns true if it completed a
+  /// pane (i.e. the preaggregated series grew by one).
+  bool Push(double x) {
+    Append(&x, nullptr, 1);
+    return current_.count == 0;
+  }
 
   /// Installs (or clears, with nullptr) the pane-completion sink.
   void set_pane_sink(PaneSink sink, void* ctx) {
@@ -95,18 +129,13 @@ class PaneBuffer {
     sink_ctx_ = ctx;
   }
 
-  /// Restores `n` previously completed panes (crash recovery): each
+  /// Restores one previously completed pane (crash recovery): its
   /// mean is appended as an already-complete pane and the point clock
-  /// advances by n * pane_size. The sink is NOT fired — these panes
-  /// are already durable. Restored panes are stored as {sum: mean,
-  /// count: 1} so Mean() returns the recorded value bitwise exactly
-  /// (re-multiplying by pane_size and dividing back would round).
-  void RestoreCompleted(const double* means, size_t n);
-
-  /// Raw points that must still arrive before `target` complete panes
-  /// are retained (0 if already there). Monotone: eviction never
-  /// reduces the retained count below max_panes once reached.
-  size_t PointsUntilPaneCount(size_t target) const;
+  /// advances by pane_size. The sink is NOT fired — the pane is
+  /// already durable. It is stored as {sum: mean, count: 1} so Mean()
+  /// returns the recorded value bitwise exactly (re-multiplying by
+  /// pane_size and dividing back would round).
+  void RestoreCompleted(double mean);
 
   /// Means of all retained (complete) panes, oldest first.
   std::vector<double> PaneMeans() const;
@@ -122,17 +151,30 @@ class PaneBuffer {
   void Reset();
 
  private:
+  /// Adds a run of n points to the in-progress pane in one tight
+  /// loop, in arrival order (bitwise the same sum as one at a time).
+  void Accumulate(const double* xs, size_t n) {
+    double sum = current_.sum;
+    for (size_t j = 0; j < n; ++j) {
+      sum += xs[j];
+    }
+    current_.sum = sum;
+    current_.count += n;
+  }
+
   /// Retains the completed in-progress pane, evicting the oldest pane
   /// beyond max_panes.
   void CommitCurrent();
 
   size_t pane_size_;
   size_t max_panes_;
+  int64_t epoch_;
+  int64_t width_ticks_;
   std::deque<Pane> panes_;  // complete panes only
   Pane current_;            // in-progress pane
-  /// Time bucket current_ belongs to; meaningful only in timed mode
-  /// while current_.count > 0.
-  int64_t current_pane_index_ = 0;
+  /// Time bucket current_ belongs to; meaningful only on the time
+  /// grid while current_.count > 0.
+  int64_t current_index_ = 0;
   size_t points_consumed_ = 0;
   PaneSink sink_ = nullptr;
   void* sink_ctx_ = nullptr;

@@ -29,6 +29,7 @@
 #include "stream/sharded_engine.h"
 #include "stream/source.h"
 #include "telemetry/exposition.h"
+#include "telemetry/metrics.h"
 #include "ts/generators.h"
 
 namespace asap {
@@ -196,6 +197,35 @@ TEST(WalTest, AppendScanRoundTripAcrossSegmentRolls) {
   EXPECT_FALSE(stats.tail_truncated);
   EXPECT_EQ(stats.frames, payloads.size());
   EXPECT_GT(stats.segments, 1u);
+}
+
+TEST(WalTest, SegmentRollFsyncsAreTimedAndCounted) {
+  // Even with no sync policy, every roll seals the old segment and
+  // creates the next one (file + directory entry): three fsyncs, each
+  // of which must reach both fsync instruments.
+  TempDir dir("wal_fsync");
+  ASSERT_TRUE(MakeDirs(dir.path()).ok());
+  telemetry::LatencyHistogram fsync_nanos;
+  telemetry::Counter fsync_total;
+  telemetry::Counter sealed_total;
+  WalOptions options;
+  options.sync = SyncPolicy::kNone;
+  options.segment_bytes = 128;  // a roll every few appends
+  options.fsync_nanos = &fsync_nanos;
+  options.fsync_total = &fsync_total;
+  options.segments_sealed_total = &sealed_total;
+  {
+    auto wal = Wal::Open(dir.path(), 1, options);
+    ASSERT_TRUE(wal.ok());
+    const std::string payload(40, 'p');
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE((*wal)->Append(payload.data(), payload.size()).ok());
+    }
+  }
+  const uint64_t rolls = sealed_total.Value();
+  ASSERT_GE(rolls, 5u);
+  EXPECT_GE(fsync_total.Value(), 3 * rolls);
+  EXPECT_EQ(fsync_nanos.TakeSnapshot().count, fsync_total.Value());
 }
 
 TEST(WalTest, ScanStopsCleanlyAtTornTail) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <memory>
 #include <thread>
 
 #include "common/random.h"
@@ -19,6 +21,12 @@ std::vector<double> PeriodicStream(uint64_t seed, size_t n,
                                    double period = 48.0) {
   Pcg32 rng(seed);
   return gen::Add(gen::Sine(n, period, 1.0), gen::WhiteNoise(&rng, n, 0.4));
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 StreamingOptions BasicOptions() {
@@ -204,6 +212,65 @@ TEST(StreamingAsapTest, PushBatchFastPathMatchesPerPointPush) {
         EXPECT_EQ(bulk.frame().candidates_evaluated,
                   per_point.frame().candidates_evaluated);
       }
+    }
+  }
+
+  // The same pin on the time grid: per-point PushTimed against random
+  // chunkings, over timestamps that repeat, skip whole buckets, and
+  // put chunk boundaries anywhere relative to bucket boundaries.
+  Pcg32 rng(17);
+  std::vector<int64_t> ts(data.size());
+  int64_t clock = -95;  // starts before the epoch
+  for (int64_t& t : ts) {
+    const uint32_t r = rng.NextBounded(20);
+    clock += r < 4 ? 0 : (r < 19 ? 1 : 35);  // repeat, step, skip buckets
+    t = clock;
+  }
+  struct TimedRun {
+    size_t refreshes = 0;
+    std::vector<double> sunk;  // pane-sink sequence
+    std::unique_ptr<StreamingAsap> op;
+  };
+  const auto collect = [](void* ctx, double mean) {
+    static_cast<std::vector<double>*>(ctx)->push_back(mean);
+  };
+  for (size_t refresh_every : {size_t{0}, size_t{7}, size_t{500}}) {
+    StreamingOptions options;
+    options.resolution = 100;
+    options.visible_points = 1000;
+    options.refresh_every_points = refresh_every;
+    options.pane_epoch = 3;
+    options.pane_width_ticks = 10;
+    // max_chunk 1 is the per-point reference.
+    const auto run = [&](size_t max_chunk) {
+      TimedRun r;
+      r.op = std::make_unique<StreamingAsap>(
+          StreamingAsap::Create(options).ValueOrDie());
+      r.op->set_pane_sink(collect, &r.sunk);
+      for (size_t i = 0; i < data.size();) {
+        const size_t n = std::min<size_t>(
+            1 + rng.NextBounded(static_cast<uint32_t>(max_chunk)),
+            data.size() - i);
+        r.refreshes += r.op->PushTimed(data.data() + i, ts.data() + i, n);
+        i += n;
+      }
+      return r;
+    };
+    const TimedRun per_point = run(1);
+    ASSERT_GT(per_point.refreshes, 3u);
+    for (size_t max_chunk : {size_t{3}, size_t{40}, size_t{700}, data.size()}) {
+      const TimedRun bulk = run(max_chunk);
+      SCOPED_TRACE("timed refresh_every=" + std::to_string(refresh_every) +
+                   " max_chunk=" + std::to_string(max_chunk));
+      const StreamingAsap::Frame& got = bulk.op->frame();
+      const StreamingAsap::Frame& want = per_point.op->frame();
+      EXPECT_EQ(bulk.refreshes, per_point.refreshes);
+      EXPECT_EQ(got.refreshes, want.refreshes);
+      EXPECT_EQ(got.window, want.window);
+      EXPECT_EQ(got.candidates_evaluated, want.candidates_evaluated);
+      EXPECT_TRUE(BitwiseEqual(got.series, want.series));
+      EXPECT_TRUE(BitwiseEqual(bulk.sunk, per_point.sunk));
+      EXPECT_EQ(bulk.op->points_consumed(), per_point.op->points_consumed());
     }
   }
 }

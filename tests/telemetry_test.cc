@@ -119,28 +119,12 @@ TEST(LatencyHistogramTest, BucketBoundsBracketTheirValues) {
 }
 
 TEST(LatencyHistogramTest, PowersOfTwoAreBucketBoundaries) {
-  // The property the wire tier's log-4 reconstruction rests on:
-  // CountAtMost(2^k - 1) is exact because 2^k starts a new bucket.
+  // Every power of two starts a bucket of the base-2 layout.
   for (unsigned e = 0; e < 40; ++e) {
     const uint64_t p = uint64_t{1} << e;
     const unsigned idx = LatencyHistogram::BucketIndex(p);
     EXPECT_EQ(LatencyHistogram::BucketLowerBound(idx), p) << "2^" << e;
   }
-}
-
-TEST(LatencyHistogramTest, CountAtMostExactAtPowerOfTwoThresholds) {
-  LatencyHistogram hist;
-  for (uint64_t v = 1; v <= 1000; ++v) {
-    hist.Record(v);
-  }
-  const LatencyHistogram::Snapshot snap = hist.TakeSnapshot();
-  EXPECT_EQ(snap.CountAtMost(15), 15u);
-  EXPECT_EQ(snap.CountAtMost(63), 63u);
-  EXPECT_EQ(snap.CountAtMost(255), 255u);
-  EXPECT_EQ(snap.CountAtMost(1023), 1000u);
-  EXPECT_EQ(snap.count, 1000u);
-  EXPECT_EQ(snap.sum, 1000u * 1001u / 2);
-  EXPECT_EQ(snap.max, 1000u);
 }
 
 // --- LatencyHistogram: quantile error bound --------------------------------

@@ -232,6 +232,41 @@ TEST(PaneBufferTest, EvictsOldestBeyondCapacity) {
   EXPECT_EQ(buffer.points_consumed(), 5u);
 }
 
+void CollectMean(void* ctx, double mean) {
+  static_cast<std::vector<double>*>(ctx)->push_back(mean);
+}
+
+TEST(PaneBufferTest, TimestampedAppendCommitsOnBucketChange) {
+  // Time grid: 10 ticks per bucket from epoch 0. pane_size (2) is the
+  // arrival clock's and must not close a time-grid pane.
+  PaneBuffer buffer(2, 0, /*epoch=*/0, /*width_ticks=*/10);
+  std::vector<double> sunk;
+  buffer.set_pane_sink(&CollectMean, &sunk);
+
+  const double a[] = {1, 2, 6};
+  const int64_t ta[] = {0, 3, 9};  // bucket 0, three points
+  buffer.Append(a, ta, 3);
+  EXPECT_EQ(buffer.size(), 0u);  // no later bucket yet: still open
+  EXPECT_TRUE(sunk.empty());
+
+  // One call: bucket 1 (repeated ts), then bucket 4 (2 and 3 skipped).
+  const double b[] = {4, 8, 8, 5, 7};
+  const int64_t tb[] = {10, 12, 12, 40, 49};
+  buffer.Append(b, tb, 5);
+  ASSERT_EQ(buffer.size(), 2u);
+  EXPECT_EQ(buffer.PaneMeans(), (std::vector<double>{3.0, 20.0 / 3.0}));
+  EXPECT_EQ(sunk, buffer.PaneMeans());  // once per committed pane
+  EXPECT_EQ(buffer.points_consumed(), 8u);
+
+  // Bucket 4 commits only when a point of another bucket arrives.
+  const double c = 1;
+  const int64_t tc = 50;
+  buffer.Append(&c, &tc, 1);
+  ASSERT_EQ(buffer.size(), 3u);
+  EXPECT_EQ(buffer.PaneMeans()[2], 6.0);
+  EXPECT_EQ(sunk.size(), 3u);
+}
+
 TEST(PaneBufferTest, ResetClears) {
   PaneBuffer buffer(2, 0);
   buffer.Push(1);
