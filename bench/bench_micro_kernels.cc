@@ -1,6 +1,7 @@
 // Google-benchmark microbenches for libasap's hot kernels: FFT,
-// autocorrelation, SMA, rolling moments, candidate evaluation, the
-// end-to-end Smooth() operator, and the reduction baselines.
+// autocorrelation (both ACF paths), SMA, rolling moments, candidate
+// evaluation, the end-to-end Smooth() operator, the streaming ingest
+// and refresh paths, and the reduction baselines.
 
 #include <benchmark/benchmark.h>
 
@@ -72,6 +73,33 @@ void BM_AutocorrelationFft(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_AutocorrelationFft)->Range(1 << 10, 1 << 20);
+
+// The two ACF paths ComputeAcfInfo chooses between, at L = n/10 + 1
+// lags (lags 0..n/10, the search's max_window = n/10): path 0 is the
+// FFT, 1 the direct sums on the runtime-selected kernel table, 2
+// the direct sums on the scalar table. The crossover calibrates
+// kDirectAcfBudget (core/acf_peaks.h), which must suit every table.
+void BM_Acf(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const int64_t path = state.range(1);
+  const std::vector<double> x = MakeSignal(n);
+  const size_t max_lag = n / 10;
+  asap::ExecPolicy policy;
+  policy.threads = 1;
+  policy.simd = path == 2 ? asap::SimdMode::kScalar : asap::SimdMode::kAuto;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        path == 0 ? asap::fft::AutocorrelationFft(x, max_lag, policy)
+                  : asap::fft::AutocorrelationBruteForce(x, max_lag, policy));
+  }
+  state.SetLabel(path == 0   ? "fft"
+                 : path == 1 ? asap::kern::ActiveKernels(policy.simd).name
+                             : "scalar");
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Acf)
+    ->ArgNames({"n", "path"})
+    ->ArgsProduct({{100, 400, 1600, 3200, 8000}, {0, 1, 2}});
 
 void BM_Sma(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -337,6 +365,35 @@ void BM_StreamingIngestPushTimed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(chunk));
 }
 BENCHMARK(BM_StreamingIngestPushTimed)->Range(1 << 10, 1 << 16);
+
+// The on-demand refresh path at one refresh per pane: 8000 visible
+// points at 400 px (20-point panes, a 400-pane search series), a
+// seasonal signal with a 50-pane period. Each iteration pushes one
+// pane, which triggers one refresh: pane means, context reset, ACF,
+// CheckLastWindow and the ASAP search, frame publication. Items are
+// refreshes.
+void BM_StreamingRefreshPerPane(benchmark::State& state) {
+  asap::StreamingOptions options;
+  options.resolution = 400;
+  options.visible_points = 8000;
+  asap::StreamingAsap op = asap::StreamingAsap::Create(options).ValueOrDie();
+  const size_t pane = op.pane_size();
+  const size_t cycle = 4 * options.visible_points;
+  asap::Pcg32 rng(17);
+  const std::vector<double> x =
+      asap::gen::Add(asap::gen::Sine(cycle + options.visible_points,
+                                     50.0 * static_cast<double>(pane)),
+                     asap::gen::WhiteNoise(&rng, cycle + options.visible_points,
+                                           0.4));
+  op.Prefill(std::vector<double>(x.begin(), x.begin() + options.visible_points));
+  size_t pos = options.visible_points;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(op.PushBatch(x.data() + pos, pane));
+    pos = pos + pane < x.size() ? pos + pane : options.visible_points;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StreamingRefreshPerPane);
 
 }  // namespace
 

@@ -29,7 +29,10 @@ AcfInfo ComputeAcfInfo(const std::vector<double>& series, size_t max_lag,
   ASAP_CHECK_GE(series.size(), 2u);
   max_lag = std::min(max_lag, series.size() - 1);
   AcfInfo info;
-  info.correlations = fft::AutocorrelationFft(series, max_lag, policy);
+  info.correlations =
+      UseDirectAcf(series.size(), max_lag)
+          ? fft::AutocorrelationBruteForce(series, max_lag, policy)
+          : fft::AutocorrelationFft(series, max_lag, policy);
   info.peaks = FindAcfPeaks(info.correlations, peak_threshold);
   for (size_t p : info.peaks) {
     info.max_acf = std::max(info.max_acf, info.correlations[p]);

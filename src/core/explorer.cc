@@ -72,12 +72,19 @@ Result<ViewFrame> Explorer::Render(size_t begin, size_t end) {
   }
 
   // Warm-start per level: zooming/scrolling at the same scale usually
-  // keeps the same period structure. The context serves the search,
-  // the before-metrics (cached), and the after-metrics (one fused
-  // pass) without re-sweeping the viewport.
-  AsapState& state = level_state_[level];
+  // keeps the same period structure, so the level's last window seeds
+  // the search if it still preserves this viewport's kurtosis. The
+  // context serves the search, the before-metrics (cached), and the
+  // after-metrics (one fused pass) without re-sweeping the viewport.
   ctx_.Reset(agg.series);
+  SearchDiagnostics check;
+  const auto last = level_window_.find(level);
+  AsapState state =
+      last != level_window_.end()
+          ? CheckLastWindow(&ctx_, last->second, options_.search, &check)
+          : AsapState{};
   const SearchResult search = AsapSearch(&ctx_, options_.search, &state);
+  level_window_[level] = search.window;
 
   ViewFrame frame;
   frame.level = level;
@@ -91,7 +98,8 @@ Result<ViewFrame> Explorer::Render(size_t begin, size_t end) {
   const CandidateScore after = ScoreWindow(ctx_, search.window);
   frame.roughness_after = after.roughness;
   frame.kurtosis_after = after.kurtosis;
-  frame.candidates_evaluated = search.diag.candidates_evaluated;
+  frame.candidates_evaluated =
+      check.candidates_evaluated + search.diag.candidates_evaluated;
 
   has_last_view_ = true;
   last_begin_ = begin;

@@ -8,8 +8,9 @@
 // O(resolution) slicing plus one ASAP search on ~resolution points,
 // independent of the viewport's raw size — the interactive-latency
 // requirement of §1. Rendering also warm-starts each level's search
-// state from the previous render at that level (the streaming seeding
-// idea applied to exploration).
+// from the window of the previous render at that level, re-checked on
+// the new viewport (the streaming CheckLastWindow applied to
+// exploration).
 
 #ifndef ASAP_CORE_EXPLORER_H_
 #define ASAP_CORE_EXPLORER_H_
@@ -50,7 +51,8 @@ struct ViewFrame {
   double roughness_after = 0.0;
   double kurtosis_before = 0.0;
   double kurtosis_after = 0.0;
-  /// Candidates the render's search evaluated.
+  /// Candidates the render's search evaluated (including the
+  /// warm-start re-check of the level's last window).
   size_t candidates_evaluated = 0;
 };
 
@@ -90,8 +92,8 @@ class Explorer {
   ExplorerOptions options_;
   /// pyramid_[k] = means of 2^k consecutive raw points.
   std::vector<std::vector<double>> pyramid_;
-  /// Per-level warm-start search state.
-  std::map<size_t, AsapState> level_state_;
+  /// Per-level warm start: the window the level's last render chose.
+  std::map<size_t, size_t> level_window_;
   /// Evaluation context rebound to the current viewport on every
   /// Render; Reset reuses its buffers so interactive pan/zoom stays
   /// allocation-stable (mirrors StreamingAsap's refresh path).

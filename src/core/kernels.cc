@@ -148,9 +148,23 @@ void ComplexNormScalar(double* interleaved, size_t n_complex) {
   }
 }
 
+void AutocovScalar(const double* d, size_t n, size_t lags, double* c) {
+  for (size_t k = 0; k < lags; ++k) {
+    c[k] = 0.0;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const double di = d[i];
+    const size_t stop = lags < n - i ? lags : n - i;
+    for (size_t k = 0; k < stop; ++k) {
+      c[k] += di * d[i + k];
+    }
+  }
+}
+
 const KernelTable kScalarTable = {
-    "scalar",          ScoreSegmentScalar, AbsDeltaScalar, Gather4Scalar,
-    ColumnMinMaxScalar, BucketizeScalar,   ComplexNormScalar,
+    "scalar",           ScoreSegmentScalar, AbsDeltaScalar,
+    Gather4Scalar,      ColumnMinMaxScalar, BucketizeScalar,
+    ComplexNormScalar,  AutocovScalar,
 };
 
 const KernelTable* PickSimdTable() {

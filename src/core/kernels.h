@@ -7,8 +7,11 @@
 // results. There is no "fast but slightly different" mode.
 //
 // That is achievable because each kernel commits to one canonical
-// floating-point reduction shape, chosen to be exactly what a 4-wide
-// vector unit computes, and the scalar path *emulates* that shape:
+// floating-point reduction shape. Kernels whose outputs are
+// independent element-wise or lag-wise sums (complex_norm, autocov)
+// keep the plain sequential order in every lane. The reductions are
+// shaped to be exactly what a 4-wide vector unit computes, and the
+// scalar path *emulates* that shape:
 //
 //   * Reductions run 4 independent accumulator lanes; element i of a
 //     range [begin, end) goes to lane (i - begin) % 4 over the largest
@@ -105,6 +108,15 @@ struct KernelTable {
   /// In-place power pass over interleaved complex doubles:
   /// (re, im) -> (re * re + im * im, 0) for n_complex pairs.
   void (*complex_norm)(double* interleaved, size_t n_complex);
+
+  /// Lag-major autocovariance sums of a centered series d[0..n):
+  ///   c[k] = sum_{i=0}^{n-k-1} d[i] * d[i + k]   for k in [0, lags),
+  /// 1 <= lags <= n. Each lag's sum starts at 0.0 and adds
+  /// d[i] * d[i + k] (multiply, then add) in ascending i. Lags are
+  /// independent sums, so the vector paths spread *lags* across
+  /// lanes and match the scalar loop bit for bit without the 4-lane
+  /// emulation the reductions above need.
+  void (*autocov)(const double* d, size_t n, size_t lags, double* c);
 };
 
 /// The scalar reference table (always available; the parity baseline).

@@ -16,6 +16,8 @@
 #include <cmath>
 #include <limits>
 
+#include "core/kernels_autocov.h"
+
 namespace asap {
 namespace kern {
 namespace {
@@ -235,9 +237,24 @@ void ComplexNormAvx2(double* interleaved, size_t n_complex) {
   }
 }
 
+struct Avx2Isa {
+  using Reg = __m256d;
+  static constexpr size_t kWidth = 4;
+  static Reg Zero() { return _mm256_setzero_pd(); }
+  static Reg Broadcast(double v) { return _mm256_set1_pd(v); }
+  static Reg Load(const double* p) { return _mm256_loadu_pd(p); }
+  static Reg Add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
+  static Reg Mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+  static void Store(double* p, Reg v) { _mm256_storeu_pd(p, v); }
+};
+
+void AutocovAvx2(const double* d, size_t n, size_t lags, double* c) {
+  autocov::Compute<Avx2Isa>(d, n, lags, c);
+}
+
 const KernelTable kAvx2Table = {
-    "avx2",           ScoreSegmentAvx2, AbsDeltaAvx2, Gather4Avx2,
-    ColumnMinMaxAvx2, BucketizeAvx2,    ComplexNormAvx2,
+    "avx2",           ScoreSegmentAvx2, AbsDeltaAvx2,    Gather4Avx2,
+    ColumnMinMaxAvx2, BucketizeAvx2,    ComplexNormAvx2, AutocovAvx2,
 };
 
 }  // namespace

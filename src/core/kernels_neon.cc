@@ -8,7 +8,8 @@
 // propagate NaN, which would diverge from the canonical
 // `(a > b) ? a : b` select semantics. Kernels with no cross-element
 // reduction (gather4, bucketize, complex_norm) are per-element exact
-// in any implementation; they use the plain scalar loops here.
+// in any implementation; they use the plain scalar loops here. autocov
+// spreads independent lags across lanes, 2 per register.
 
 #include "core/kernels.h"
 
@@ -18,6 +19,8 @@
 
 #include <cmath>
 #include <limits>
+
+#include "core/kernels_autocov.h"
 
 namespace asap {
 namespace kern {
@@ -199,9 +202,24 @@ void ComplexNormNeon(double* interleaved, size_t n_complex) {
   }
 }
 
+struct NeonIsa {
+  using Reg = float64x2_t;
+  static constexpr size_t kWidth = 2;
+  static Reg Zero() { return vdupq_n_f64(0.0); }
+  static Reg Broadcast(double v) { return vdupq_n_f64(v); }
+  static Reg Load(const double* p) { return vld1q_f64(p); }
+  static Reg Add(Reg a, Reg b) { return vaddq_f64(a, b); }
+  static Reg Mul(Reg a, Reg b) { return vmulq_f64(a, b); }
+  static void Store(double* p, Reg v) { vst1q_f64(p, v); }
+};
+
+void AutocovNeon(const double* d, size_t n, size_t lags, double* c) {
+  autocov::Compute<NeonIsa>(d, n, lags, c);
+}
+
 const KernelTable kNeonTable = {
-    "neon",           ScoreSegmentNeon, AbsDeltaNeon, Gather4Neon,
-    ColumnMinMaxNeon, BucketizeNeon,    ComplexNormNeon,
+    "neon",           ScoreSegmentNeon, AbsDeltaNeon,    Gather4Neon,
+    ColumnMinMaxNeon, BucketizeNeon,    ComplexNormNeon, AutocovNeon,
 };
 
 }  // namespace

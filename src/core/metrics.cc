@@ -12,11 +12,11 @@ double Roughness(const std::vector<double>& x) {
   if (x.size() < 3) {
     return 0.0;
   }
-  // One allocation-free pass via the generalized Welford accumulator
-  // instead of materializing the difference series and sweeping it
-  // twice; every caller (context construction, the naive evaluator,
-  // the render metrics) shares the saving.
-  stats::ScoreAccumulator acc;
+  // One allocation-free pass of the difference recurrence instead of
+  // materializing the difference series and sweeping it twice; every
+  // caller (context construction, the naive evaluator, the render
+  // metrics) shares the saving.
+  stats::DiffAccumulator acc;
   for (double v : x) {
     acc.Add(v);
   }

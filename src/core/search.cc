@@ -42,6 +42,15 @@ CandidateScore Score(const SeriesContext& ctx, size_t w,
   return ScoreWindow(ctx, w, options.exec);
 }
 
+// The ACF every ASAP search over ctx uses: one extra lag so a period
+// that lands exactly on max_window is still detectable as a local
+// maximum.
+const AcfInfo& SearchAcf(SeriesContext* ctx, const SearchOptions& options) {
+  const size_t max_window = options.ResolveMaxWindow(ctx->size());
+  return ctx->EnsureAcf(/*max_lag=*/max_window + 1, options.acf_threshold,
+                        options.exec);
+}
+
 // Shared feasibility + bookkeeping: updates `result` if candidate w is
 // feasible (kurtosis preserved) and smoother than the incumbent.
 void ConsiderCandidate(const SeriesContext& ctx, size_t w,
@@ -193,10 +202,10 @@ SearchResult BinarySearch(const std::vector<double>& x,
   return BinarySearch(&ctx, options);
 }
 
-SearchResult AsapSearchWithAcf(SeriesContext* ctx, const AcfInfo& acf,
-                               const SearchOptions& options,
-                               AsapState* seed) {
+SearchResult AsapSearch(SeriesContext* ctx, const SearchOptions& options,
+                        AsapState* seed) {
   ASAP_CHECK_GE(ctx->size(), 2u);
+  const AcfInfo& acf = SearchAcf(ctx, options);
   const double kurtosis_x = ctx->kurtosis();
   const size_t max_window = options.ResolveMaxWindow(ctx->size());
 
@@ -206,12 +215,13 @@ SearchResult AsapSearchWithAcf(SeriesContext* ctx, const AcfInfo& acf,
   SearchResult result = InitWithIdentity(*ctx);
   result.diag.acf_peaks = acf.peaks.size();
   // A warm-started state may carry a smoother incumbent from the
-  // previous refresh; adopt it (CheckLastWindow already validated
-  // feasibility on the current data).
+  // previous search; adopt it (CheckLastWindow scored it on the
+  // current data).
   if (state->has_feasible && state->window >= 1 &&
       state->window <= max_window && state->roughness < result.roughness) {
     result.window = state->window;
     result.roughness = state->roughness;
+    result.kurtosis = state->kurtosis;
   }
 
   const std::vector<double>& corr = acf.correlations;
@@ -263,27 +273,33 @@ SearchResult AsapSearchWithAcf(SeriesContext* ctx, const AcfInfo& acf,
 
   state->window = result.window;
   state->roughness = result.roughness;
+  state->kurtosis = result.kurtosis;
   state->has_feasible = true;  // w = 1 is always feasible
   return result;
 }
 
-SearchResult AsapSearchWithAcf(const std::vector<double>& x,
-                               const AcfInfo& acf,
-                               const SearchOptions& options,
-                               AsapState* seed) {
-  SeriesContext ctx(x);
-  return AsapSearchWithAcf(&ctx, acf, options, seed);
-}
-
-SearchResult AsapSearch(SeriesContext* ctx, const SearchOptions& options,
-                        AsapState* seed) {
-  ASAP_CHECK_GE(ctx->size(), 2u);
-  const size_t max_window = options.ResolveMaxWindow(ctx->size());
-  // One extra lag so a period that lands exactly on max_window is still
-  // detectable as a local maximum.
-  const AcfInfo& acf = ctx->EnsureAcf(/*max_lag=*/max_window + 1,
-                                      options.acf_threshold, options.exec);
-  return AsapSearchWithAcf(ctx, acf, options, seed);
+AsapState CheckLastWindow(SeriesContext* ctx, size_t last_window,
+                          const SearchOptions& options,
+                          SearchDiagnostics* diag) {
+  AsapState state;
+  if (last_window < 1 || last_window > ctx->size()) {
+    return state;
+  }
+  const CandidateScore score = Score(*ctx, last_window, options, diag);
+  if (score.kurtosis < ctx->kurtosis()) {
+    return state;
+  }
+  const AcfInfo& acf = SearchAcf(ctx, options);
+  const double corr = last_window < acf.correlations.size()
+                          ? acf.correlations[last_window]
+                          : 0.0;
+  state.window = last_window;
+  state.roughness = score.roughness;
+  state.kurtosis = score.kurtosis;
+  state.lower_bound =
+      std::max(1.0, WindowLowerBound(last_window, corr, acf.max_acf));
+  state.has_feasible = true;
+  return state;
 }
 
 SearchResult AsapSearch(const std::vector<double>& x,

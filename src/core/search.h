@@ -85,8 +85,9 @@ struct SearchOptions {
   /// Intra-search execution: threads and SIMD mode for the candidate
   /// sweep (exhaustive/grid fan candidates out across threads; binary
   /// and ASAP fan out inside the scoring kernel), the fused
-  /// ScoreWindow kernel, and the ACF's FFT passes. Search results are
-  /// bitwise-identical under every policy (see common/exec_policy.h).
+  /// ScoreWindow kernel, and the ACF (its direct sums or FFT passes).
+  /// Search results are bitwise-identical under every policy (see
+  /// common/exec_policy.h).
   ExecPolicy exec;
 
   /// Resolved maximum window for a series of length n (>= 1, <= n).
@@ -121,34 +122,37 @@ SearchResult BinarySearch(SeriesContext* ctx, const SearchOptions& options);
 SearchResult BinarySearch(const std::vector<double>& x,
                           const SearchOptions& options);
 
-/// Mutable search state threaded through ASAP's pruning rules; the
-/// streaming operator re-seeds it across refreshes (§4.5).
+/// Mutable search state threaded through ASAP's pruning rules. A warm
+/// start (§4.4) seeds it with CheckLastWindow on the *current* series.
 struct AsapState {
   size_t window = 1;
   double roughness = std::numeric_limits<double>::infinity();
+  double kurtosis = 0.0;     // Kurtosis of SMA(X, window)
   double lower_bound = 1.0;  // wLB of Algorithm 1
   bool has_feasible = false;
 };
 
+/// CheckLastWindow (§4.4): re-scores `last_window` — the window a
+/// search chose on earlier data — on the context's current series. If
+/// it still preserves the kurtosis (and 1 <= last_window <= size()),
+/// returns a state seeded with its score and its Eq. 6 lower bound
+/// (has_feasible set); otherwise the cold default state. The re-score
+/// counts in `diag`. The streaming refresh and the explorer's
+/// per-level warm start both seed AsapSearch through this.
+AsapState CheckLastWindow(SeriesContext* ctx, size_t last_window,
+                          const SearchOptions& options,
+                          SearchDiagnostics* diag);
+
 /// Full ASAP search (Algorithms 1 + 2). If `seed` is non-null it is
-/// used as the starting state (streaming warm start) and updated in
-/// place; otherwise a fresh state is used. The context overload reuses
-/// the context's cached ACF (EnsureAcf) across calls.
+/// the starting state — default, or from CheckLastWindow on this same
+/// series: its incumbent is adopted without re-scoring — and is
+/// updated in place; otherwise a fresh state is used. The context
+/// overload reuses the context's cached ACF (EnsureAcf) across calls.
 SearchResult AsapSearch(SeriesContext* ctx, const SearchOptions& options,
                         AsapState* seed = nullptr);
 SearchResult AsapSearch(const std::vector<double>& x,
                         const SearchOptions& options,
                         AsapState* seed = nullptr);
-
-/// ASAP search when the ACF is already available (streaming path keeps
-/// it incrementally refreshed).
-SearchResult AsapSearchWithAcf(SeriesContext* ctx, const AcfInfo& acf,
-                               const SearchOptions& options,
-                               AsapState* seed = nullptr);
-SearchResult AsapSearchWithAcf(const std::vector<double>& x,
-                               const AcfInfo& acf,
-                               const SearchOptions& options,
-                               AsapState* seed = nullptr);
 
 }  // namespace asap
 

@@ -137,8 +137,8 @@ void ForEachNaiveSmaValue(const std::vector<double>& x, size_t w,
 // difference and can flip the feasibility test.
 CandidateScore ReplayNaiveScore(const std::vector<double>& x, size_t w) {
   const size_t m = x.size() - w + 1;
-  stats::ScoreAccumulator diff_acc;  // Roughness()'s accumulation
-  double ysum = 0.0;                 // stats::Mean()'s compensated sum
+  stats::DiffAccumulator diff_acc;  // Roughness()'s accumulation
+  double ysum = 0.0;                // stats::Mean()'s compensated sum
   double ycomp = 0.0;
   ForEachNaiveSmaValue(x, w, [&](double y) {
     diff_acc.Add(y);

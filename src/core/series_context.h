@@ -13,8 +13,9 @@
 //     agreement with the naive evaluator even on long series);
 //   * Roughness(X) and Kurtosis(X) (every strategy needs the kurtosis
 //     bound, and both are the exact w == 1 score);
-//   * the FFT autocorrelation summary, on request, cached per
-//     (max_lag, threshold) so batch and streaming searches share it.
+//   * the autocorrelation summary (ComputeAcfInfo: direct sums or
+//     FFT), on request, cached per (max_lag, threshold) so batch and
+//     streaming searches share it.
 //
 // ScoreWindow(ctx, w) then fuses smoothing and scoring into a single
 // allocation-free pass that tracks the 4th central moment of the
@@ -74,7 +75,7 @@ class SeriesContext {
   /// Requires 1 <= w <= size() and i + w <= size().
   double SmaAt(size_t w, size_t i) const;
 
-  /// FFT autocorrelation summary up to max_lag, computed on first
+  /// Autocorrelation summary up to max_lag, computed on first
   /// request and cached per exact (max_lag, threshold) pair, so search
   /// results never depend on what an earlier caller requested. The
   /// policy affects only how fast the ACF is computed, never its

@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "common/macros.h"
-#include "core/metrics.h"
 #include "window/preaggregate.h"
 #include "window/sma.h"
 
@@ -99,45 +98,24 @@ void StreamingAsap::Refresh() {
   // and series metrics are recomputed once per refresh, then every
   // candidate evaluation below is an allocation-free fused pass.
   ctx_.Reset(x);
-  const size_t max_window = options_.search.ResolveMaxWindow(x.size());
-
-  // UpdateAcf: the visible window changed, recompute its ACF (one
-  // extra lag so a period at exactly max_window remains detectable).
-  const AcfInfo& acf = ctx_.EnsureAcf(
-      max_window + 1, options_.search.acf_threshold, options_.search.exec);
-  const double kurtosis_x = ctx_.kurtosis();
 
   // CheckLastWindow: seed with the previous solution if it is still
   // feasible on the refreshed data; otherwise search from scratch.
-  state_ = AsapState{};
-  bool seeded = false;
-  if (has_previous_window_ && previous_window_ >= 1 &&
-      previous_window_ <= x.size()) {
-    CandidateScore score;
-    if (options_.search.use_naive_evaluator) {
-      score = EvaluateWindow(x, previous_window_);
-    } else {
-      score = ScoreWindow(ctx_, previous_window_, options_.search.exec);
-      frame_.allocation_free_evals += 1;
-    }
-    frame_.candidates_evaluated += 1;
-    if (score.kurtosis >= kurtosis_x) {
-      state_.window = previous_window_;
-      state_.roughness = score.roughness;
-      state_.has_feasible = true;
-      const double corr = previous_window_ < acf.correlations.size()
-                              ? acf.correlations[previous_window_]
-                              : 0.0;
-      state_.lower_bound =
-          std::max(1.0, WindowLowerBound(previous_window_, corr, acf.max_acf));
-      seeded = true;
-    }
-  }
+  // The ACF (UpdateAcf: the visible window changed) is computed on
+  // demand by the seed check and the ASAP search, cached in ctx_.
+  SearchDiagnostics check;
+  AsapState state =
+      has_previous_window_
+          ? CheckLastWindow(&ctx_, previous_window_, options_.search, &check)
+          : AsapState{};
+  const bool seeded = state.has_feasible;
+  frame_.candidates_evaluated += check.candidates_evaluated;
+  frame_.allocation_free_evals += check.allocation_free_evals;
 
   SearchResult result;
   switch (options_.strategy) {
     case SearchStrategy::kAsap:
-      result = AsapSearchWithAcf(&ctx_, acf, options_.search, &state_);
+      result = AsapSearch(&ctx_, options_.search, &state);
       break;
     case SearchStrategy::kExhaustive:
       result = ExhaustiveSearch(&ctx_, options_.search);

@@ -202,7 +202,6 @@ class StreamingAsap {
   window::PaneBuffer panes_;
   uint64_t points_since_refresh_ = 0;
 
-  AsapState state_;
   /// Evaluation context rebuilt from the pane buffer at every refresh
   /// (Reset reuses its buffers, so steady-state refreshes stay
   /// allocation-stable); candidate scoring runs through its fused

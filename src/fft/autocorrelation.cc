@@ -18,6 +18,19 @@ double Mean(const std::vector<double>& v) {
   }
   return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
 }
+
+// Turns autocovariances c[0..max_lag] into correlations c[k] / c[0],
+// with acf[0] = 1 and an all-zero tail when c[0] is not a positive
+// finite variance (a constant series has no correlation structure).
+void NormalizeByLagZero(std::vector<double>* acf) {
+  std::vector<double>& c = *acf;
+  const double c0 = c[0];
+  c[0] = 1.0;
+  const bool degenerate = c0 <= 0.0 || !std::isfinite(c0);
+  for (size_t k = 1; k < c.size(); ++k) {
+    c[k] = degenerate ? 0.0 : c[k] / c0;
+  }
+}
 }  // namespace
 
 std::vector<double> AutocorrelationFft(const std::vector<double>& series,
@@ -51,42 +64,30 @@ std::vector<double> AutocorrelationFft(const std::vector<double>& series,
   }
   TransformRadix2(&buf, /*inverse=*/true, policy);
 
-  std::vector<double> acf(max_lag + 1, 0.0);
-  const double c0 = buf[0].real();
-  acf[0] = 1.0;
-  if (c0 <= 0.0 || !std::isfinite(c0)) {
-    return acf;  // constant series: no correlation structure
+  std::vector<double> acf(max_lag + 1);
+  for (size_t k = 0; k <= max_lag; ++k) {
+    acf[k] = buf[k].real();
   }
-  for (size_t k = 1; k <= max_lag; ++k) {
-    acf[k] = buf[k].real() / c0;
-  }
+  NormalizeByLagZero(&acf);
   return acf;
 }
 
 std::vector<double> AutocorrelationBruteForce(const std::vector<double>& series,
-                                              size_t max_lag) {
+                                              size_t max_lag,
+                                              const ExecPolicy& policy) {
   const size_t n = series.size();
   ASAP_CHECK_GE(n, 1u);
   ASAP_CHECK_LT(max_lag, n);
 
   const double mean = Mean(series);
-  double c0 = 0.0;
-  for (double x : series) {
-    c0 += (x - mean) * (x - mean);
+  std::vector<double> centered(n);
+  for (size_t i = 0; i < n; ++i) {
+    centered[i] = series[i] - mean;
   }
-
-  std::vector<double> acf(max_lag + 1, 0.0);
-  acf[0] = 1.0;
-  if (c0 <= 0.0) {
-    return acf;
-  }
-  for (size_t k = 1; k <= max_lag; ++k) {
-    double ck = 0.0;
-    for (size_t i = 0; i + k < n; ++i) {
-      ck += (series[i] - mean) * (series[i + k] - mean);
-    }
-    acf[k] = ck / c0;
-  }
+  std::vector<double> acf(max_lag + 1);
+  kern::ActiveKernels(policy.simd)
+      .autocov(centered.data(), n, max_lag + 1, acf.data());
+  NormalizeByLagZero(&acf);
   return acf;
 }
 

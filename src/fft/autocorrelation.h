@@ -1,10 +1,18 @@
 // Autocorrelation estimation.
 //
 // ASAP prunes its window search using the peaks of the sample
-// autocorrelation function (paper §4.3). The brute-force estimator is
-// O(n * maxLag); the FFT path (demean -> zero-pad -> FFT -> power
-// spectrum -> inverse FFT -> normalize by lag 0) is O(n log n), the
-// "two FFTs" optimization the paper describes.
+// autocorrelation function (paper §4.3). Two estimators compute the
+// same definition:
+//
+//   * the FFT path (demean -> zero-pad -> FFT -> power spectrum ->
+//     inverse FFT -> normalize by lag 0), O(n log n): the "two FFTs"
+//     optimization the paper describes, the right tool when many lags
+//     of a long series are needed;
+//   * the direct path, O(n * maxLag) through the kernel table's
+//     lag-major autocov kernel. A refresh searches a series about the
+//     display width with maxLag ~ n/10; there the direct sums cost a
+//     fraction of two complex FFTs, so ComputeAcfInfo
+//     (core/acf_peaks.h) takes this path below a fixed cost budget.
 
 #ifndef ASAP_FFT_AUTOCORRELATION_H_
 #define ASAP_FFT_AUTOCORRELATION_H_
@@ -19,17 +27,23 @@ namespace fft {
 
 /// Sample ACF for lags 0..max_lag via FFT. Uses the biased estimator
 ///   acf[k] = sum_{i<n-k} (x_i - mean)(x_{i+k} - mean) / sum (x_i - mean)^2
-/// so acf[0] == 1. Returns max_lag + 1 values. If the series is constant
-/// (zero variance) all lags are defined as 0 except lag 0 which is 1.
+/// so acf[0] == 1. Returns max_lag + 1 values. If the lag-0 sum is not a
+/// positive finite variance (a constant series) all lags are defined as
+/// 0 except lag 0 which is 1.
 /// The policy threads/vectorizes the FFT stages and the power pass;
 /// the returned values are bitwise-identical under every policy.
 std::vector<double> AutocorrelationFft(const std::vector<double>& series,
                                        size_t max_lag,
                                        const ExecPolicy& policy = {});
 
-/// Quadratic-time reference estimator (identical definition).
+/// Direct O(n * (max_lag + 1)) estimator of the same definition and
+/// conventions: every lag k is the sum of (x_i - mean)(x_{i+k} - mean)
+/// in ascending i (kern::KernelTable::autocov), divided by lag 0. The
+/// values are bitwise-identical under every policy; the policy picks
+/// the kernel implementation, and the sums run on the calling thread.
 std::vector<double> AutocorrelationBruteForce(const std::vector<double>& series,
-                                              size_t max_lag);
+                                              size_t max_lag,
+                                              const ExecPolicy& policy = {});
 
 }  // namespace fft
 }  // namespace asap

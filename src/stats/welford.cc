@@ -96,15 +96,7 @@ void ScoreAccumulator::Add(double y) {
          4.0 * delta_n * m3_;
   m3_ += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2_;
   m2_ += term1;
-  if (count_ > 1) {
-    const double d = y - prev_;
-    const double k = n1;  // number of differences seen so far
-    const double d_delta = d - diff_mean_;
-    const double d_delta_k = d_delta / k;
-    diff_mean_ += d_delta_k;
-    diff_m2_ += d_delta * d_delta_k * (k - 1.0);
-  }
-  prev_ = y;
+  diff_.Add(y);
 }
 
 void ScoreAccumulator::Reset() { *this = ScoreAccumulator(); }
@@ -125,16 +117,9 @@ double ScoreAccumulator::kurtosis() const {
   return (m4_ / n) / (var * var);
 }
 
-double ScoreAccumulator::diff_variance() const {
-  if (count_ < 3) {
-    return 0.0;
-  }
-  return diff_m2_ / static_cast<double>(count_ - 1);
-}
+double ScoreAccumulator::diff_variance() const { return diff_.variance(); }
 
-double ScoreAccumulator::roughness() const {
-  return std::sqrt(diff_variance());
-}
+double ScoreAccumulator::roughness() const { return diff_.roughness(); }
 
 }  // namespace stats
 }  // namespace asap

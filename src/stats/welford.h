@@ -8,6 +8,7 @@
 #ifndef ASAP_STATS_WELFORD_H_
 #define ASAP_STATS_WELFORD_H_
 
+#include <cmath>
 #include <cstddef>
 
 namespace asap {
@@ -48,6 +49,42 @@ class WelfordAccumulator {
   double m2_ = 0.0;
   double m3_ = 0.0;
   double m4_ = 0.0;
+};
+
+/// Online mean/M2 of a value stream's first differences y - y_prev —
+/// Welford's recurrence over the differences and nothing else. This is
+/// the difference half of ScoreAccumulator (which embeds it), on its
+/// own for callers that need only roughness: Roughness() skips the
+/// value-moment update it would discard, with bitwise-identical
+/// results.
+class DiffAccumulator {
+ public:
+  /// Folds one value of the series, in series order.
+  void Add(double y) {
+    if (count_ > 0) {
+      const double k = static_cast<double>(count_);  // differences so far
+      const double delta = (y - prev_) - mean_;
+      const double delta_k = delta / k;
+      mean_ += delta_k;
+      m2_ += delta * delta_k * (k - 1.0);
+    }
+    prev_ = y;
+    ++count_;
+  }
+
+  /// Population variance of the differences; 0 for < 3 values.
+  double variance() const {
+    return count_ < 3 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
+  }
+
+  /// Population stddev of the differences (= Roughness of the stream).
+  double roughness() const { return std::sqrt(variance()); }
+
+ private:
+  size_t count_ = 0;
+  double mean_ = 0.0;
+  double m2_ = 0.0;
+  double prev_ = 0.0;
 };
 
 /// WelfordAccumulator generalized to ASAP's candidate-scoring state:
@@ -99,10 +136,7 @@ class ScoreAccumulator {
   double m2_ = 0.0;
   double m3_ = 0.0;
   double m4_ = 0.0;
-  // First-difference moments (count is count_ - 1 once count_ >= 1).
-  double diff_mean_ = 0.0;
-  double diff_m2_ = 0.0;
-  double prev_ = 0.0;
+  DiffAccumulator diff_;
 };
 
 }  // namespace stats

@@ -1,7 +1,8 @@
 // Execution-policy parity tier: scalar vs SIMD and 1 vs T threads must
 // produce *bitwise-identical* results for every kernel the ExecPolicy
-// touches — ScoreWindow, Smooth() frames, FFT/ACF, the fleet rollups
-// (PercentileBands, DiffHistory, rankings), and the search strategies.
+// touches — ScoreWindow, Smooth() frames, FFT/ACF (both ACF paths),
+// the fleet rollups (PercentileBands, DiffHistory, rankings), and the
+// search strategies.
 // Comparisons use bit patterns (not ==) so NaN-carrying outputs are
 // pinned too. The TSan CI job runs this binary: the task-split sweeps
 // here are the concurrency coverage for common/task_pool.
@@ -24,6 +25,7 @@
 #include "common/exec_policy.h"
 #include "common/random.h"
 #include "common/task_pool.h"
+#include "core/acf_peaks.h"
 #include "core/kernels.h"
 #include "core/search.h"
 #include "core/series_context.h"
@@ -204,6 +206,78 @@ TEST(FftParityTest, AutocorrelationIdenticalAcrossPolicies) {
        {Threads(1, SimdMode::kScalar), Threads(4, SimdMode::kAuto),
         Threads(4, SimdMode::kScalar)}) {
     EXPECT_TRUE(BitEqVec(base, fft::AutocorrelationFft(x, 3000, policy)));
+  }
+}
+
+// --- Direct ACF (the lag-major autocov kernel) -----------------------------
+
+// AutocorrelationBruteForce as it was before the kernel table had an
+// autocov entry: every lag summed in ascending i, divided by lag 0. The
+// direct path must still produce exactly these bits on every table.
+std::vector<double> ReferenceDirectAcf(const std::vector<double>& x,
+                                       size_t max_lag) {
+  double sum = 0.0;
+  for (double v : x) {
+    sum += v;
+  }
+  const double mean = sum / static_cast<double>(x.size());
+  double c0 = 0.0;
+  for (double v : x) {
+    c0 += (v - mean) * (v - mean);
+  }
+  std::vector<double> acf(max_lag + 1, 0.0);
+  acf[0] = 1.0;
+  for (size_t k = 1; k <= max_lag && c0 > 0.0; ++k) {
+    double ck = 0.0;
+    for (size_t i = 0; i + k < x.size(); ++i) {
+      ck += (x[i] - mean) * (x[i + k] - mean);
+    }
+    acf[k] = ck / c0;
+  }
+  return acf;
+}
+
+TEST(DirectAcfParityTest, KernelTablesAndThreadCountsAgreeBitwise) {
+  for (size_t n : {size_t{3}, size_t{5}, size_t{63}, size_t{400},
+                   size_t{1000}}) {
+    const std::vector<double> x = NoisySeasonal(n, 13 + n);
+    // Lag counts (max_lag + 1) around the 4- and 32-lag blocks of the
+    // vector paths, n/10 + 1 (the search's), and all n lags.
+    for (size_t max_lag : {size_t{0}, size_t{1}, size_t{2}, size_t{4},
+                           size_t{6}, size_t{30}, size_t{32}, size_t{37},
+                           n / 10, n / 10 + 1, n / 2 + 3, n - 1}) {
+      if (max_lag >= n) {
+        continue;
+      }
+      const std::vector<double> want = ReferenceDirectAcf(x, max_lag);
+      for (const ExecPolicy& policy :
+           {Threads(1, SimdMode::kScalar), Threads(1, SimdMode::kAuto),
+            Threads(4, SimdMode::kScalar), Threads(4, SimdMode::kAuto),
+            Threads(16, SimdMode::kAuto)}) {
+        EXPECT_TRUE(
+            BitEqVec(want, fft::AutocorrelationBruteForce(x, max_lag, policy)))
+            << "n=" << n << " max_lag=" << max_lag
+            << " threads=" << policy.threads;
+      }
+    }
+  }
+}
+
+TEST(DirectAcfParityTest, ComputeAcfInfoIdenticalAcrossPolicies) {
+  // 400 points take the direct path, 12000 the FFT (core/acf_peaks.h).
+  for (size_t n : {size_t{400}, size_t{12000}}) {
+    const std::vector<double> x = NoisySeasonal(n, 5);
+    const size_t max_lag = n / 4;  // past the period of 48
+    const AcfInfo base = ComputeAcfInfo(x, max_lag);
+    EXPECT_FALSE(base.peaks.empty());
+    for (const ExecPolicy& policy :
+         {Threads(1, SimdMode::kScalar), Threads(1, SimdMode::kAuto),
+          Threads(4, SimdMode::kScalar), Threads(4, SimdMode::kAuto)}) {
+      const AcfInfo got = ComputeAcfInfo(x, max_lag, 0.2, policy);
+      EXPECT_TRUE(BitEqVec(base.correlations, got.correlations)) << n;
+      EXPECT_EQ(base.peaks, got.peaks) << n;
+      EXPECT_TRUE(BitEq(base.max_acf, got.max_acf)) << n;
+    }
   }
 }
 

@@ -174,5 +174,36 @@ TEST(ExplorerTest, RepeatedRendersWarmStart) {
   EXPECT_LE(second.candidates_evaluated, first.candidates_evaluated + 1);
 }
 
+TEST(ExplorerTest, WarmStartRechecksTheLastWindowOnTheNewViewport) {
+  // A periodic half then a spiky half: both viewports land on the same
+  // pyramid level, so the spiky render warm-starts from the periodic
+  // render's window. That window smooths the spikes away (kurtosis
+  // drops from ~250 to ~3), so the re-check must reject it and the
+  // warm render must match a cold explorer's.
+  Pcg32 rng(21);
+  std::vector<double> x = gen::Add(gen::Sine(4000, 400.0, 2.0),
+                                   gen::WhiteNoise(&rng, 4000, 0.3));
+  std::vector<double> spiky = gen::WhiteNoise(&rng, 4000, 0.1);
+  gen::InjectSpike(&spiky, 1000, 60.0);
+  gen::InjectSpike(&spiky, 2600, 50.0);
+  x.insert(x.end(), spiky.begin(), spiky.end());
+  const TimeSeries series = TimeSeries::FromValues(x);
+
+  Explorer warm = Explorer::Create(series, Options()).ValueOrDie();
+  const ViewFrame periodic = warm.Render(0, 4000).ValueOrDie();
+  const ViewFrame warm_spiky = warm.Render(4000, 8000).ValueOrDie();
+  Explorer cold = Explorer::Create(series, Options()).ValueOrDie();
+  const ViewFrame cold_spiky = cold.Render(4000, 8000).ValueOrDie();
+
+  ASSERT_EQ(periodic.level, warm_spiky.level);
+  ASSERT_GT(periodic.window, 1u);
+  EXPECT_EQ(warm_spiky.window, cold_spiky.window);
+  EXPECT_EQ(warm_spiky.series, cold_spiky.series);
+  EXPECT_GE(warm_spiky.kurtosis_after, warm_spiky.kurtosis_before);
+  // The rejected re-check is the one extra candidate.
+  EXPECT_EQ(warm_spiky.candidates_evaluated,
+            cold_spiky.candidates_evaluated + 1);
+}
+
 }  // namespace
 }  // namespace asap

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "core/metrics.h"
 #include "fft/autocorrelation.h"
 #include "stats/descriptive.h"
+#include "stats/welford.h"
 #include "ts/generators.h"
 #include "window/sma.h"
 
@@ -49,6 +51,33 @@ TEST(RoughnessTest, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(Roughness({1.0}), 0.0);
   EXPECT_DOUBLE_EQ(Roughness({1.0, 5.0}), 0.0);  // one diff: sd undefined -> 0
 }
+
+// Roughness() folds only the first-difference recurrence; it must stay
+// bitwise equal to the full ScoreAccumulator it replaced, on lengths
+// around the < 3 cutoff and up to a few thousand points, at offsets
+// and scales where rounding differs.
+class RoughnessParityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RoughnessParityTest, BitwiseEqualToScoreAccumulator) {
+  Pcg32 rng(static_cast<uint64_t>(GetParam()) * 7919);
+  const size_t n = GetParam() <= 4 ? static_cast<size_t>(GetParam() - 1)
+                                   : static_cast<size_t>(rng.Uniform(5, 4000));
+  const double offset = rng.Uniform(-1e6, 1e6);
+  const double scale = std::pow(10.0, rng.Uniform(-3, 3));
+  std::vector<double> x = GetParam() % 2 == 0
+                              ? GaussianVector(&rng, n, offset, scale)
+                              : LaplaceVector(&rng, n, offset, scale);
+  stats::ScoreAccumulator full;
+  for (double v : x) {
+    full.Add(v);
+  }
+  const double got = Roughness(x);
+  const double want = full.roughness();
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+      << "n=" << n << ": " << got << " vs " << want;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RoughnessParityTest, ::testing::Range(1, 25));
 
 TEST(RoughnessTest, ScalesLinearlyWithAmplitude) {
   Pcg32 rng(3);

@@ -209,6 +209,59 @@ TEST(AsapSearchTest, SeedStateWarmStartsSearch) {
   EXPECT_EQ(seed.window, warm.window);
 }
 
+TEST(AsapSearchTest, CheckLastWindowSeedsOnlyAWindowFeasibleOnTheNewData) {
+  const SearchOptions options;
+  const std::vector<double> periodic = PeriodicSeries(15);
+  const SearchResult cold = AsapSearch(periodic, options);
+  ASSERT_GT(cold.window, 1u);
+
+  SeriesContext ctx(periodic);
+  SearchDiagnostics diag;
+  const AsapState seeded = CheckLastWindow(&ctx, cold.window, options, &diag);
+  EXPECT_TRUE(seeded.has_feasible);
+  EXPECT_EQ(seeded.window, cold.window);
+  EXPECT_EQ(seeded.roughness, cold.roughness);
+  EXPECT_EQ(seeded.kurtosis, cold.kurtosis);
+  EXPECT_GE(seeded.lower_bound, 1.0);
+  EXPECT_EQ(diag.candidates_evaluated, 1u);
+
+  // The same window smooths a spiky series' spikes away: rejected, the
+  // state stays cold.
+  Pcg32 rng(16);
+  std::vector<double> spiky = gen::WhiteNoise(&rng, 2000, 0.1);
+  gen::InjectSpike(&spiky, 700, 30.0);
+  SeriesContext spiky_ctx(spiky);
+  const AsapState rejected =
+      CheckLastWindow(&spiky_ctx, cold.window, options, &diag);
+  EXPECT_FALSE(rejected.has_feasible);
+  EXPECT_EQ(rejected.window, 1u);
+  EXPECT_EQ(rejected.lower_bound, 1.0);
+  EXPECT_EQ(diag.candidates_evaluated, 2u);
+
+  // Windows the series cannot hold are not scored.
+  EXPECT_FALSE(CheckLastWindow(&ctx, 0, options, &diag).has_feasible);
+  EXPECT_FALSE(
+      CheckLastWindow(&ctx, ctx.size() + 1, options, &diag).has_feasible);
+  EXPECT_EQ(diag.candidates_evaluated, 2u);
+}
+
+TEST(AsapSearchTest, AdoptedIncumbentCarriesItsOwnScore) {
+  const SearchOptions options;
+  const std::vector<double> x = PeriodicSeries(17);
+  SeriesContext ctx(x);
+  const SearchResult cold = AsapSearch(&ctx, options);
+  ASSERT_GT(cold.window, 1u);
+
+  SearchDiagnostics diag;
+  AsapState state = CheckLastWindow(&ctx, cold.window, options, &diag);
+  const SearchResult warm = AsapSearch(&ctx, options, &state);
+  EXPECT_EQ(warm.window, cold.window);
+  const CandidateScore at = ScoreWindow(ctx, warm.window);
+  EXPECT_EQ(warm.roughness, at.roughness);
+  EXPECT_EQ(warm.kurtosis, at.kurtosis);
+  EXPECT_EQ(state.kurtosis, at.kurtosis);
+}
+
 TEST(AsapSearchTest, RespectsMaxWindow) {
   std::vector<double> x = PeriodicSeries(13);
   SearchOptions options;
