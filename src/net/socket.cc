@@ -88,26 +88,6 @@ Status Socket::SetTcpNoDelay() {
   return Status::OK();
 }
 
-Status Socket::SetReusePort() {
-#ifdef SO_REUSEPORT
-  const int one = 1;
-  if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
-    return Status::IOError(Errno("setsockopt(SO_REUSEPORT)"));
-  }
-  return Status::OK();
-#else
-  return Status::NotImplemented("SO_REUSEPORT is not available here");
-#endif
-}
-
-bool ReusePortSupported() {
-#ifdef SO_REUSEPORT
-  return true;
-#else
-  return false;
-#endif
-}
-
 AcceptStatus AcceptNonBlocking(const Socket& listener, Socket* out) {
 #if defined(__linux__)
   const int fd =
@@ -170,14 +150,11 @@ Status SendAll(int fd, const char* data, size_t n) {
 }
 
 Result<Socket> ListenTcp(const std::string& host, uint16_t port,
-                         int backlog, bool reuse_port) {
+                         int backlog) {
   ASAP_ASSIGN_OR_RETURN(sockaddr_in addr, TcpAddress(host, port));
   ASAP_ASSIGN_OR_RETURN(Socket sock, MakeSocket(AF_INET, "socket(tcp)"));
   const int one = 1;
   ::setsockopt(sock.fd(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuse_port) {
-    ASAP_RETURN_NOT_OK(sock.SetReusePort());
-  }
   if (::bind(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) < 0) {
     return Status::IOError(Errno("bind " + host + ":" + std::to_string(port)));

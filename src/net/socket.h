@@ -40,21 +40,9 @@ class Socket {
   /// an invalid fd or a non-TCP socket (e.g. Unix-domain).
   Status SetTcpNoDelay();
 
-  /// Marks the socket SO_REUSEPORT so several listeners can bind the
-  /// same address and the kernel load-balances accepts across them
-  /// (the sharded-acceptor topology). Must be set before bind().
-  /// Returns NotImplemented where the platform lacks SO_REUSEPORT —
-  /// callers fall back to a single listener with fd handoff.
-  Status SetReusePort();
-
  private:
   int fd_ = -1;
 };
-
-/// True when this build knows SO_REUSEPORT (compile-time feature
-/// detection; a kernel that rejects the option still surfaces as a
-/// SetReusePort error at runtime).
-bool ReusePortSupported();
 
 /// Result of one non-blocking accept attempt.
 enum class AcceptStatus {
@@ -86,13 +74,11 @@ RecvStatus RecvSome(int fd, char* buffer, size_t capacity, size_t* n);
 Status SendAll(int fd, const char* data, size_t n);
 
 /// Opens a listening IPv4 TCP socket on host:port (port 0 picks an
-/// ephemeral port — read it back with LocalPort). SO_REUSEADDR is set
-/// and TCP_NODELAY is inherited by accepted connections via the
-/// caller's option choice, not here. With reuse_port, SO_REUSEPORT is
-/// set before bind so N listeners can shard one port (fails with
-/// NotImplemented where unsupported).
-Result<Socket> ListenTcp(const std::string& host, uint16_t port, int backlog,
-                         bool reuse_port = false);
+/// ephemeral port — read it back with LocalPort). SO_REUSEADDR is set;
+/// TCP_NODELAY is the accepting caller's business, not set here. One
+/// listener per address: a server with several event loops accepts on
+/// one of them and hands the connections to the others.
+Result<Socket> ListenTcp(const std::string& host, uint16_t port, int backlog);
 
 /// The port a TCP listener actually bound (resolves port 0).
 Result<uint16_t> LocalPort(const Socket& listener);

@@ -30,6 +30,20 @@ constexpr uint64_t kTcpListenerTag = 1;
 constexpr uint64_t kUdsListenerTag = 2;
 constexpr uint64_t kFirstConnectionTag = 16;
 
+// Per-loop decode-batch cap: a loop flushes its batch to the output
+// queue at the end of every loop turn, or mid-turn once the batch
+// holds this many records (bounds loop-local memory while a firehose
+// connection is drained to EAGAIN).
+constexpr size_t kLoopBatchRecords = 8192;
+
+// Depth (in batches) of the decoded-output queue between the loops
+// and PollOnce. A full queue blocks the loops — TCP backpressure to
+// collectors — until the consumer drains.
+constexpr size_t kQueueBatches = 32;
+
+// recv() size per ready connection per read step.
+constexpr size_t kReadChunkBytes = 64 * 1024;
+
 }  // namespace
 
 struct WireServer::Core {
@@ -135,16 +149,16 @@ struct WireServer::Core {
 
     size_t id = 0;
     EventLoop ev;
-    /// Valid when this loop owns a TCP listener (every loop under the
-    /// SO_REUSEPORT sharding; loop 0 only on the handoff fallback).
+    /// The listeners: valid on loop 0 only, which accepts for all.
     Socket tcp_listener;
-    /// Valid on loop 0 only (UDS cannot shard a path).
     Socket uds_listener;
+    /// Loop 0's round-robin cursor over loops for accepted sockets.
+    size_t next_handoff = 0;
     std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
     uint64_t next_tag = kFirstConnectionTag;
     std::vector<char> read_buffer;
     /// The loop's fill batch, flushed to the output queue each turn
-    /// (or mid-turn at loop_batch_records).
+    /// (or mid-turn at kLoopBatchRecords).
     std::unique_ptr<stream::RecordBatch> batch;
     /// Tags of connections that hit EOF/error/poison this turn;
     /// retired only *after* the turn's flush so the consumer never
@@ -164,7 +178,6 @@ struct WireServer::Core {
   WireServerOptions options;
   stream::SeriesCatalog* catalog = nullptr;
   uint16_t tcp_port = 0;
-  bool sharded_tcp = false;
   std::vector<std::unique_ptr<Loop>> loops;
 
   /// Owns the private registry when options.metrics was null.
@@ -240,7 +253,7 @@ struct WireServer::Core {
 
   void RecycleBatchLocked(std::unique_ptr<stream::RecordBatch> batch) {
     batch->clear();
-    if (free_batches.size() < options.queue_batches + loops.size()) {
+    if (free_batches.size() < kQueueBatches + loops.size()) {
       free_batches.push_back(std::move(batch));
     }
   }
@@ -289,7 +302,7 @@ struct WireServer::Core {
     l->counters.batch_size->Record(n);
     std::unique_lock<std::mutex> lk(queue_mu);
     queue_not_full.wait(lk, [&] {
-      return queue.size() < options.queue_batches ||
+      return queue.size() < kQueueBatches ||
              stopping.load(std::memory_order_acquire);
     });
     queue.push_back(std::move(l->batch));
@@ -318,11 +331,9 @@ struct WireServer::Core {
     // reports an initial readiness edge for an already-readable fd.
   }
 
-  /// Accepts everything a listener's backlog holds right now.
-  /// `handoff` round-robins new sockets across loops (single-acceptor
-  /// fallback topology); self-adoption otherwise.
-  void AcceptAll(Loop* l, const Socket& listener, bool is_tcp, bool handoff,
-                 size_t* rr) {
+  /// Accepts everything a listener's backlog holds right now (loop 0
+  /// only) and round-robins the new sockets across the loops.
+  void AcceptAll(Loop* l, const Socket& listener, bool is_tcp) {
     for (;;) {
       Socket sock;
       switch (AcceptNonBlocking(listener, &sock)) {
@@ -345,18 +356,16 @@ struct WireServer::Core {
         continue;  // sock closes on scope exit
       }
       accepted.fetch_add(1, std::memory_order_relaxed);
-      if (is_tcp && options.tcp_nodelay) {
+      if (is_tcp) {
         (void)sock.SetTcpNoDelay();  // advisory; never worth a drop
       }
-      if (!handoff || loops.size() == 1 ||
-          stopping.load(std::memory_order_acquire)) {
-        // Once stopping, peer loops may have exited their final adopt
-        // — a mailboxed fd would strand, so the acceptor keeps it.
-        AdoptConnection(l, std::move(sock), /*via_handoff=*/false);
-        continue;
+      // Once stopping, peer loops may have exited their final adopt —
+      // a mailboxed fd would strand, so the acceptor keeps it.
+      size_t target = l->id;
+      if (!stopping.load(std::memory_order_acquire)) {
+        target = l->next_handoff;
+        l->next_handoff = (target + 1) % loops.size();
       }
-      const size_t target = *rr % loops.size();
-      *rr += 1;
       if (target == l->id) {
         AdoptConnection(l, std::move(sock), /*via_handoff=*/false);
         continue;
@@ -382,13 +391,13 @@ struct WireServer::Core {
   }
 
   /// Drains one connection to EAGAIN/EOF/error, decoding into the
-  /// loop's batch (mid-drain flush at loop_batch_records). Marks the
+  /// loop's batch (mid-drain flush at kLoopBatchRecords). Marks the
   /// connection dead (into l->dead) when the stream ended.
   void DrainConnection(Loop* l, uint64_t tag, Connection* conn) {
     telemetry::ScopedTimer decode_timer(l->counters.decode_nanos.get());
     bool dead = false;
     for (;;) {
-      if (l->batch->size() >= options.loop_batch_records) {
+      if (l->batch->size() >= kLoopBatchRecords) {
         FlushBatch(l);
       }
       size_t n = 0;
@@ -454,13 +463,13 @@ struct WireServer::Core {
   /// backlogs already hold, read every connection to EAGAIN/EOF and
   /// flush — the drain-on-shutdown guarantee — then release
   /// everything this loop owns.
-  void FinalDrain(Loop* l, size_t* rr) {
+  void FinalDrain(Loop* l) {
     AdoptMailbox(l);
     if (l->tcp_listener.valid()) {
-      AcceptAll(l, l->tcp_listener, /*is_tcp=*/true, /*handoff=*/false, rr);
+      AcceptAll(l, l->tcp_listener, /*is_tcp=*/true);
     }
     if (l->uds_listener.valid()) {
-      AcceptAll(l, l->uds_listener, /*is_tcp=*/false, /*handoff=*/false, rr);
+      AcceptAll(l, l->uds_listener, /*is_tcp=*/false);
     }
     for (auto& entry : l->conns) {
       DrainConnection(l, entry.first, entry.second.get());
@@ -480,8 +489,6 @@ struct WireServer::Core {
 
   void RunLoop(Loop* l) {
     std::vector<EventLoop::Event> events;
-    size_t rr = l->id;  // round-robin cursor for handoffs (loop 0)
-    const bool handoff_tcp = !sharded_tcp;
     for (;;) {
       const bool stop_now = stopping.load(std::memory_order_acquire);
       bool woken = false;
@@ -497,12 +504,11 @@ struct WireServer::Core {
       for (const EventLoop::Event& ev : events) {
         if (ev.tag == kTcpListenerTag) {
           if (l->tcp_listener.valid()) {
-            AcceptAll(l, l->tcp_listener, /*is_tcp=*/true, handoff_tcp, &rr);
+            AcceptAll(l, l->tcp_listener, /*is_tcp=*/true);
           }
         } else if (ev.tag == kUdsListenerTag) {
           if (l->uds_listener.valid()) {
-            AcceptAll(l, l->uds_listener, /*is_tcp=*/false, /*handoff=*/true,
-                      &rr);
+            AcceptAll(l, l->uds_listener, /*is_tcp=*/false);
           }
         } else {
           auto it = l->conns.find(ev.tag);
@@ -517,7 +523,7 @@ struct WireServer::Core {
       FlushBatch(l);
       RetireDead(l);
       if (stop_now) {
-        FinalDrain(l, &rr);
+        FinalDrain(l);
         return;
       }
     }
@@ -540,7 +546,7 @@ struct WireServer::Core {
     FrameDecoder decoder(catalog, options.max_frame_bytes);
     decoder.set_stamp_clock(options.stamp_clock, options.stamp_ctx);
     stream::RecordBatch batch;
-    std::vector<char> buf(options.read_chunk_bytes);
+    std::vector<char> buf(kReadChunkBytes);
     for (;;) {
       size_t n = 0;
       const RecvStatus rs = RecvSome(sock.fd(), buf.data(), buf.size(), &n);
@@ -577,11 +583,7 @@ struct WireServer::Core {
     if (!started.load(std::memory_order_acquire)) {
       // Never polled: no loops to drain. Release the listeners so the
       // port/path free immediately.
-      for (auto& l : loops) {
-        l->tcp_listener.Close();
-        l->uds_listener.Close();
-      }
-      UnlinkUds();
+      CloseOwnListeners(loops[0].get());
       std::lock_guard<std::mutex> lk(queue_mu);
       queue_stopped = true;
       queue_not_empty.notify_all();
@@ -650,9 +652,6 @@ Result<WireServer> WireServer::Create(const WireServerOptions& options,
   if (options.max_connections < 1) {
     return Status::InvalidArgument("max_connections must be >= 1");
   }
-  if (options.read_chunk_bytes < 1) {
-    return Status::InvalidArgument("read_chunk_bytes must be >= 1");
-  }
   if (options.max_frame_bytes < kBinaryHeaderBytes + kBinaryRecordBytes) {
     // Checked here so a bad bound is an InvalidArgument at Create, not
     // a FrameDecoder ASAP_CHECK abort at first accept.
@@ -661,12 +660,6 @@ Result<WireServer> WireServer::Create(const WireServerOptions& options,
   }
   if (options.num_event_loops < 1) {
     return Status::InvalidArgument("num_event_loops must be >= 1");
-  }
-  if (options.loop_batch_records < 1) {
-    return Status::InvalidArgument("loop_batch_records must be >= 1");
-  }
-  if (options.queue_batches < 1) {
-    return Status::InvalidArgument("queue_batches must be >= 1");
   }
 
   auto core = std::make_unique<Core>();
@@ -693,60 +686,33 @@ Result<WireServer> WireServer::Create(const WireServerOptions& options,
     core->loops.push_back(std::make_unique<Core::Loop>(std::move(ev)));
     Core::Loop* l = core->loops.back().get();
     l->id = i;
-    l->read_buffer.resize(options.read_chunk_bytes);
+    l->read_buffer.resize(kReadChunkBytes);
     l->batch = std::make_unique<stream::RecordBatch>();
     l->counters.Register(core->metrics, i);
   }
 
+  // Loop 0 owns the listeners, registered level-triggered: a backlog
+  // one turn could not fully accept (connection cap, fd pressure)
+  // re-arms on the next wait.
+  Core::Loop* acceptor = core->loops[0].get();
   if (options.enable_tcp) {
-    const bool want_shards = options.reuse_port &&
-                             options.num_event_loops > 1 &&
-                             ReusePortSupported();
     ASAP_ASSIGN_OR_RETURN(
-        Socket first,
-        ListenTcp(options.tcp_host, options.tcp_port, options.listen_backlog,
-                  /*reuse_port=*/want_shards));
-    ASAP_RETURN_NOT_OK(first.SetNonBlocking());
-    ASAP_ASSIGN_OR_RETURN(core->tcp_port, LocalPort(first));
-    core->loops[0]->tcp_listener = std::move(first);
-    if (want_shards) {
-      core->sharded_tcp = true;
-      for (size_t i = 1; i < core->loops.size(); ++i) {
-        // Siblings bind the now-resolved port; a kernel that refuses
-        // drops us back to the single-acceptor handoff topology.
-        Result<Socket> sib =
-            ListenTcp(options.tcp_host, core->tcp_port,
-                      options.listen_backlog, /*reuse_port=*/true);
-        if (!sib.ok() || !sib.ValueOrDie().SetNonBlocking().ok()) {
-          for (size_t j = 1; j < i; ++j) {
-            core->loops[j]->tcp_listener.Close();
-          }
-          core->sharded_tcp = false;
-          break;
-        }
-        core->loops[i]->tcp_listener = std::move(sib).ValueOrDie();
-      }
-    }
+        Socket tcp,
+        ListenTcp(options.tcp_host, options.tcp_port, options.listen_backlog));
+    ASAP_RETURN_NOT_OK(tcp.SetNonBlocking());
+    ASAP_ASSIGN_OR_RETURN(core->tcp_port, LocalPort(tcp));
+    ASAP_RETURN_NOT_OK(
+        acceptor->ev.Add(tcp.fd(), kTcpListenerTag, /*edge_triggered=*/false));
+    acceptor->tcp_listener = std::move(tcp);
   }
   if (!options.uds_path.empty()) {
     ASAP_ASSIGN_OR_RETURN(
         Socket uds, ListenUds(options.uds_path, options.listen_backlog));
-    ASAP_RETURN_NOT_OK(uds.SetNonBlocking());
     core->uds_bound = true;
-    core->loops[0]->uds_listener = std::move(uds);
-  }
-
-  // Register the listeners level-triggered: a backlog this turn could
-  // not fully accept (connection cap, fd pressure) re-arms next wait.
-  for (auto& l : core->loops) {
-    if (l->tcp_listener.valid()) {
-      ASAP_RETURN_NOT_OK(l->ev.Add(l->tcp_listener.fd(), kTcpListenerTag,
-                                   /*edge_triggered=*/false));
-    }
-    if (l->uds_listener.valid()) {
-      ASAP_RETURN_NOT_OK(l->ev.Add(l->uds_listener.fd(), kUdsListenerTag,
-                                   /*edge_triggered=*/false));
-    }
+    ASAP_RETURN_NOT_OK(uds.SetNonBlocking());
+    ASAP_RETURN_NOT_OK(
+        acceptor->ev.Add(uds.fd(), kUdsListenerTag, /*edge_triggered=*/false));
+    acceptor->uds_listener = std::move(uds);
   }
   return WireServer(std::move(core));
 }
@@ -786,19 +752,11 @@ size_t WireServer::pending_records() const {
 
 void WireServer::CloseListeners() {
   if (!core_->started.load(std::memory_order_acquire)) {
-    for (auto& l : core_->loops) {
-      l->tcp_listener.Close();
-      if (l->uds_listener.valid()) {
-        l->uds_listener.Close();
-        core_->UnlinkUds();
-      }
-    }
+    core_->CloseOwnListeners(core_->loops[0].get());
     return;
   }
   core_->close_listeners.store(true, std::memory_order_release);
-  for (auto& l : core_->loops) {
-    l->ev.Wake();
-  }
+  core_->loops[0]->ev.Wake();
 }
 
 size_t WireServer::PollOnce(int timeout_ms, size_t max_records,

@@ -1,24 +1,23 @@
 // WireServer: the ingestion front door of the fleet engine, in the
 // mold of Akumuli's akumulid server tier sitting in front of the
-// storage engine — rearchitected from one poll() loop to a sharded
-// epoll event-loop tier.
+// storage engine — rearchitected from one poll() loop to a multi-loop
+// epoll tier.
 //
-// Topology: N acceptor/decoder loops (WireServerOptions::
-// num_event_loops), each a thread owning one epoll EventLoop with a
-// persistent interest list. Under SO_REUSEPORT every loop gets its own
-// TCP listener on the shared port and the kernel spreads accepts;
-// where SO_REUSEPORT is unavailable (and always for the UDS listener)
-// loop 0 accepts and hands the fd to a loop round-robin through a
-// mailbox + eventfd wake. A connection then lives and dies on its
-// loop: its FrameDecoder is touched by that loop's thread only, so
-// decoding stays lock-free. Each loop drains readable sockets
-// edge-triggered into one reused RecordBatch and enqueues it once per
-// loop turn (per-loop decode batching) into a bounded queue that
-// PollOnce — still pumped by the engine's producer thread via
-// NetMultiSource, exactly as before — drains. A full queue blocks the
-// loops, which stops their reads, which backpressures collectors
-// through TCP; the engine-side overflow policies (block / drop-newest
-// / conflate) apply downstream at the shard queues, unchanged.
+// Topology: N decoder loops (WireServerOptions::num_event_loops), each
+// a thread owning one epoll EventLoop with a persistent interest list.
+// Loop 0 owns the listeners (TCP and UDS alike): it accepts and hands
+// each new socket to a loop round-robin (itself included) through
+// that loop's mailbox + eventfd wake. Collectors hold long-lived
+// connections, so one acceptor is never the bottleneck. A connection
+// then lives and dies on its loop: its FrameDecoder is touched by that
+// loop's thread only, so decoding stays lock-free. Each loop drains
+// readable sockets edge-triggered into one reused RecordBatch and
+// enqueues it once per loop turn (per-loop decode batching) into a
+// bounded queue that PollOnce — still pumped by the engine's producer
+// thread via NetMultiSource — drains. A full queue blocks the loops,
+// which stops their reads, which backpressures collectors through
+// TCP; the engine-side overflow policies (block / drop-newest /
+// conflate) apply downstream at the shard queues, unchanged.
 //
 // Ordering: one connection = one loop = one decoder, batches enter the
 // queue in decode order, and the queue is FIFO — so each connection's
@@ -58,39 +57,14 @@ struct WireServerOptions {
   /// disables UDS. At least one listener must be enabled.
   std::string uds_path;
 
-  /// Acceptor/decoder event-loop threads. Each loop owns an epoll
-  /// instance and the connections it accepted (or was handed); under
-  /// SO_REUSEPORT each also owns its own TCP listener on the shared
-  /// port. 1 reproduces the old single-loop topology on epoll.
+  /// Decoder event-loop threads. Each loop owns an epoll instance and
+  /// the connections loop 0 handed it; loop 0 also owns the
+  /// listeners. 1 reproduces the old single-loop topology on epoll.
   size_t num_event_loops = 1;
-
-  /// Use SO_REUSEPORT to shard the TCP listener across loops when
-  /// num_event_loops > 1 (ignored where unsupported, and for UDS,
-  /// which always uses the single-acceptor + fd-handoff fallback).
-  /// Off forces the handoff path — mainly a test/debug knob.
-  bool reuse_port = true;
-
-  /// Per-loop decode-batch cap: a loop flushes its batch to the
-  /// output queue at the end of every loop turn, or mid-turn once the
-  /// batch holds this many records (bounds loop-local memory while a
-  /// firehose connection is drained to EAGAIN).
-  size_t loop_batch_records = 8192;
-
-  /// Bounded depth (in batches) of the decoded-output queue between
-  /// the loops and PollOnce. A full queue blocks the loops — TCP
-  /// backpressure to collectors — until the consumer drains.
-  size_t queue_batches = 32;
 
   /// Connections beyond this (across all loops) are accepted and
   /// immediately closed (counted in stats().rejected_connections).
   size_t max_connections = 64;
-
-  /// Disable Nagle on accepted TCP connections (harmless no-op for
-  /// UDS): collectors see acks promptly if a reply channel is added.
-  bool tcp_nodelay = true;
-
-  /// recv() size per ready connection per read step.
-  size_t read_chunk_bytes = 64 * 1024;
 
   /// Frame bound handed to each connection's FrameDecoder.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
@@ -130,9 +104,11 @@ struct WireLoopStats {
   uint64_t batches = 0;
   /// Records across those batches.
   uint64_t batch_records = 0;
-  /// Connections this loop owns/owned (its own accepts + handoffs).
+  /// Connections this loop owns/owned: its round-robin share of
+  /// loop 0's accepts.
   uint64_t accepted = 0;
-  /// Of those, connections adopted via the fd-handoff mailbox.
+  /// Of those, connections adopted via the fd-handoff mailbox (all of
+  /// them on loops != 0; 0 on loop 0, which keeps its share directly).
   uint64_t handoffs = 0;
 };
 
@@ -177,7 +153,7 @@ struct WireServerStats {
   std::vector<WireLoopStats> per_loop;
 };
 
-/// The sharded epoll ingestion server. Listeners are bound at Create
+/// The multi-loop epoll ingestion server. Listeners are bound at Create
 /// (collectors can connect immediately; the backlog holds them); the
 /// loop threads start at Start(), or lazily on the first PollOnce.
 ///
@@ -221,8 +197,8 @@ class WireServer {
   size_t PollOnce(int timeout_ms, size_t max_records,
                   stream::RecordBatch* out);
 
-  /// Stops the loops and joins them. Shutdown drains: every loop
-  /// accepts whatever its listener backlog already holds, reads each
+  /// Stops the loops and joins them. Shutdown drains: loop 0 accepts
+  /// whatever the listener backlogs already hold, every loop reads each
   /// of its connections to EAGAIN/EOF, decodes, and enqueues — so all
   /// bytes the server had received are deliverable through PollOnce
   /// after Stop returns (the drain-on-shutdown guarantee). Idempotent.
@@ -249,8 +225,8 @@ class WireServer {
   /// injected WireServerOptions::metrics, or the server-private one.
   telemetry::MetricsRegistry* metrics() const;
 
-  /// Asks the loops to close the listeners (existing connections keep
-  /// draining); takes effect on each loop's next turn.
+  /// Asks loop 0 to close the listeners (existing connections keep
+  /// draining); takes effect on its next turn.
   void CloseListeners();
 
  private:

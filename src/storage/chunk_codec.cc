@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/macros.h"
+#include "storage/byte_order.h"
 
 namespace asap {
 namespace storage {
@@ -116,22 +117,6 @@ class BitReader {
   uint8_t cur_ = 0;
   unsigned avail_ = 0;
 };
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
 
 uint64_t DoubleBits(double d) {
   uint64_t b;

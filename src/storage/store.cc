@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "storage/byte_order.h"
 #include "storage/posix_file.h"
 #include "telemetry/metrics.h"
 
@@ -20,41 +21,9 @@ constexpr uint8_t kRecPaneBatch = 2;
 
 constexpr size_t kMaxSeriesNameBytes = 65535;
 
-void PutU16(uint16_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-  PutU32(static_cast<uint32_t>(v >> 32), out);
-}
-
-uint16_t GetU16(const char* p) {
-  return static_cast<uint16_t>(static_cast<unsigned char>(p[0]) |
-                               static_cast<unsigned char>(p[1]) << 8);
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-uint64_t GetU64(const char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
-}
+// Background compaction runs once this many sealed WAL segments are
+// waiting (CompactOnce(true) runs unconditionally).
+constexpr size_t kCompactAfterSealedSegments = 1;
 
 }  // namespace
 
@@ -427,7 +396,7 @@ Status DurableStore::Sync() { return wal_->Sync(); }
 Status DurableStore::CompactOnce(bool force) {
   std::lock_guard<std::mutex> compact_lock(compact_mu_);
   if (!force &&
-      wal_->SealedSeqs().size() < options_.compact_after_sealed_segments) {
+      wal_->SealedSeqs().size() < kCompactAfterSealedSegments) {
     return Status::OK();
   }
   telemetry::ScopedTimer timer(compaction_nanos_.get());

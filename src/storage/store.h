@@ -55,9 +55,6 @@ struct StoreOptions {
   SyncPolicy sync = SyncPolicy::kInterval;
   double sync_interval_seconds = 0.05;
   size_t wal_segment_bytes = 16u << 20;
-  /// Background compaction runs when at least this many sealed WAL
-  /// segments are waiting (or unconditionally via CompactOnce(true)).
-  size_t compact_after_sealed_segments = 1;
   /// Start a background thread that enforces the kInterval sync
   /// deadline during idle periods and triggers compaction.
   bool background_maintenance = true;

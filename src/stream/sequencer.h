@@ -17,10 +17,11 @@
 // arrival order. A record more than horizon ticks behind the
 // watermark at its own arrival is *late* — counted per series and
 // dropped, never emitted (a record only raises the watermark, so
-// in-order input is never late, whatever its span). Everything with ts <= watermark - horizon is safe to
-// release (nothing older can arrive any more, by the late rule) and
-// is merge-emitted across runs in (ts, arrival) order. Flush releases
-// the remainder at end of stream.
+// in-order input is never late, whatever its span). Everything with
+// ts <= watermark - horizon is safe to release (nothing older can
+// arrive any more, by the late rule) and is merge-emitted across runs
+// in (ts, arrival) order. Flush releases the remainder at end of
+// stream.
 //
 // Emission is therefore globally non-decreasing in ts, and two input
 // orders that are permutations of each other within the horizon emit
@@ -44,12 +45,11 @@ namespace stream {
 
 class Sequencer {
  public:
-  /// `horizon_ticks`: the reordering window. A record is accepted as
-  /// long as its timestamp is within horizon_ticks of the newest
-  /// timestamp seen; older records are dropped as late. 0 disables
-  /// sequencing entirely: Push forwards records in arrival order
-  /// verbatim (bitwise the pre-sequencer path) and nothing is ever
-  /// late.
+  /// `horizon_ticks`: the reordering window, >= 1. A record is
+  /// accepted as long as its timestamp is within horizon_ticks of the
+  /// newest timestamp seen; older records are dropped as late. There
+  /// is no "off" horizon here: a shard with sequencing disabled
+  /// (horizon 0) owns no Sequencer and feeds records in arrival order.
   explicit Sequencer(int64_t horizon_ticks);
 
   /// Stages records, drops late ones, and appends every record whose
@@ -62,7 +62,7 @@ class Sequencer {
   /// sequencer remains usable; the watermark and late rule persist.
   size_t Flush(RecordBatch* out);
 
-  /// Records accepted (staged or passed through) so far.
+  /// Records accepted (staged) so far.
   uint64_t records_in() const { return records_in_; }
   /// Records emitted to out so far.
   uint64_t emitted() const { return emitted_; }

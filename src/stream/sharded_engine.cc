@@ -171,8 +171,7 @@ struct ShardedEngine::Shard {
   std::unordered_map<SeriesId, uint32_t> storage_sids;  // engine -> store id
   std::vector<double> run_values;    // per-run value scratch
   std::vector<int64_t> run_ts;       // per-run timestamp scratch (timed)
-  std::vector<double> pane_scratch;  // sink target while one run pushes
-  std::vector<double> flat_panes;
+  std::vector<double> flat_panes;    // pane sink target, per batch
   struct PaneRunMeta {
     uint32_t sid;
     size_t offset;
@@ -330,21 +329,20 @@ struct ShardedEngine::Shard {
         op = &registry.GetOrCreate(id);
       }
       if (storage != nullptr && storage_ok) {
-        // Catch the panes this run completes: the sink fills the
-        // shard scratch, flushed once per batch below. (Setting the
-        // sink each run is two pointer stores — cheap, and it also
-        // covers operators created by recovery's RestoreSeries.)
-        pane_scratch.clear();
-        op->set_pane_sink(&PaneSinkThunk, &pane_scratch);
+        // Catch the panes this run completes: the sink appends them
+        // to the batch's flat buffer, flushed once per batch below.
+        // (Setting the sink each run is two pointer stores — cheap,
+        // and it also covers operators created by recovery's
+        // RestoreSeries.)
+        const size_t offset = flat_panes.size();
+        op->set_pane_sink(&PaneSinkThunk, &flat_panes);
         PushRun(op);
         op->set_pane_sink(nullptr, nullptr);
-        if (!pane_scratch.empty()) {
+        const size_t count = flat_panes.size() - offset;
+        if (count > 0) {
           const uint32_t sid = StoreSidFor(id);
           if (storage_ok) {
-            run_meta.push_back(
-                PaneRunMeta{sid, flat_panes.size(), pane_scratch.size()});
-            flat_panes.insert(flat_panes.end(), pane_scratch.begin(),
-                              pane_scratch.end());
+            run_meta.push_back(PaneRunMeta{sid, offset, count});
           }
         }
       } else {

@@ -1,7 +1,6 @@
-// Unit tests for the socket-option helpers behind the sharded
-// acceptor tier: TCP_NODELAY / SO_REUSEPORT setters (including their
-// error paths on invalid or wrong-protocol fds), non-blocking accept,
-// and SO_REUSEPORT port sharing between two listeners.
+// Unit tests for the socket helpers behind the wire server's acceptor:
+// the TCP_NODELAY setter (including its error paths on invalid or
+// wrong-protocol fds) and non-blocking accept.
 
 #include <gtest/gtest.h>
 
@@ -39,44 +38,6 @@ TEST(SocketOptionsTest, TcpNoDelayFailsOnAUnixSocket) {
   // IPPROTO_TCP options do not apply to AF_UNIX; the setter must
   // surface the error, not swallow it.
   EXPECT_FALSE(sock.SetTcpNoDelay().ok());
-}
-
-TEST(SocketOptionsTest, ReusePortMatchesFeatureDetection) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  Socket sock(fd);
-  const Status status = sock.SetReusePort();
-  if (ReusePortSupported()) {
-    EXPECT_TRUE(status.ok());
-  } else {
-    EXPECT_EQ(status.code(), StatusCode::kNotImplemented);
-  }
-}
-
-TEST(SocketOptionsTest, ReusePortFailsOnAnInvalidFd) {
-  if (!ReusePortSupported()) {
-    GTEST_SKIP() << "no SO_REUSEPORT on this platform";
-  }
-  Socket sock;  // fd == -1
-  EXPECT_FALSE(sock.SetReusePort().ok());
-}
-
-TEST(SocketOptionsTest, TwoListenersShareAPortUnderReusePort) {
-  if (!ReusePortSupported()) {
-    GTEST_SKIP() << "no SO_REUSEPORT on this platform";
-  }
-  Socket first =
-      ListenTcp("127.0.0.1", 0, 4, /*reuse_port=*/true).ValueOrDie();
-  const uint16_t port = LocalPort(first).ValueOrDie();
-  ASSERT_GT(port, 0);
-  // The second bind of the same port succeeds only because both
-  // listeners carry SO_REUSEPORT — the sharded-acceptor topology.
-  Result<Socket> second =
-      ListenTcp("127.0.0.1", port, 4, /*reuse_port=*/true);
-  EXPECT_TRUE(second.ok()) << second.status().message();
-  // And without the option the same bind is refused.
-  Result<Socket> plain = ListenTcp("127.0.0.1", port, 4);
-  EXPECT_FALSE(plain.ok());
 }
 
 TEST(SocketOptionsTest, AcceptNonBlockingReportsAnEmptyBacklog) {

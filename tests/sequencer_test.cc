@@ -19,18 +19,6 @@ namespace asap {
 namespace stream {
 namespace {
 
-TEST(SequencerTest, ZeroHorizonIsArrivalOrderPassthrough) {
-  Sequencer seq(0);
-  const RecordBatch input = {
-      {1, 10.0, 50}, {2, 20.0, 5}, {1, 30.0, -7}, {2, 40.0, 50}};
-  RecordBatch out;
-  EXPECT_EQ(seq.Push(input.data(), input.size(), &out), input.size());
-  EXPECT_EQ(out, input);  // bitwise the pre-sequencer path
-  EXPECT_EQ(seq.Flush(&out), 0u);
-  EXPECT_EQ(seq.late_dropped(), 0u);
-  EXPECT_EQ(seq.buffered(), 0u);
-}
-
 TEST(SequencerTest, HoldsRecordsInsideTheHorizonUntilFlush) {
   Sequencer seq(100);
   const RecordBatch input = {{1, 1.0, 10}, {1, 2.0, 30}, {1, 3.0, 20}};

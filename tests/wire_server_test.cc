@@ -544,20 +544,18 @@ TEST(WireServerTest, ConnectionChurnAcrossEncodingsSurvives) {
   EXPECT_GT(stats.wakeups, 0u);
 }
 
-// Determinism parity across loop counts and acceptor topologies: the
-// same multi-client replay through 1, 2, and 4 loops — kernel-sharded
-// TCP (SO_REUSEPORT), handoff TCP (reuse_port off), and UDS (always
-// handoff) — must produce frames bitwise identical to each series'
-// sequential reference. One connection = one loop = one decoder, and
-// the output queue is FIFO, so loop count must never reorder a
-// connection's records.
+// Determinism parity across loop counts and transports: the same
+// multi-client replay through 1, 2, and 4 loops, over TCP and over UDS
+// (loop 0 accepts both and hands connections out), must produce frames
+// bitwise identical to each series' sequential reference. One
+// connection = one loop = one decoder, and the output queue is FIFO,
+// so loop count must never reorder a connection's records.
 TEST(WireServerTest, MultiLoopDemuxParityMatchesSequentialReference) {
   const size_t kClients = 4;
   const size_t kPointsPerClient = 2000;
 
-  enum class Transport { kTcpSharded, kTcpHandoff, kUds };
-  for (Transport transport :
-       {Transport::kTcpSharded, Transport::kTcpHandoff, Transport::kUds}) {
+  enum class Transport { kTcp, kUds };
+  for (Transport transport : {Transport::kTcp, Transport::kUds}) {
     for (size_t loops : {size_t{1}, size_t{2}, size_t{4}}) {
       stream::ShardedEngineOptions engine_options;
       engine_options.shards = 2;
@@ -571,8 +569,6 @@ TEST(WireServerTest, MultiLoopDemuxParityMatchesSequentialReference) {
       if (transport == Transport::kUds) {
         server_options.enable_tcp = false;
         server_options.uds_path = uds_path;
-      } else if (transport == Transport::kTcpHandoff) {
-        server_options.reuse_port = false;  // force the mailbox path
       }
       WireServer server =
           WireServer::Create(server_options, engine.catalog()).ValueOrDie();
@@ -631,13 +627,63 @@ TEST(WireServerTest, MultiLoopDemuxParityMatchesSequentialReference) {
       for (const WireLoopStats& ls : stats.per_loop) {
         handoffs += ls.handoffs;
       }
-      if (transport != Transport::kTcpSharded && loops > 1) {
-        // Single-acceptor topologies spread connections by mailbox.
+      if (loops > 1) {
+        // Loop 0 spreads connections by mailbox.
         EXPECT_GT(handoffs, 0u)
             << "transport=" << static_cast<int>(transport)
             << " loops=" << loops;
       }
     }
+  }
+}
+
+// Loop 0 accepts every connection and deals them out round-robin,
+// itself included: k x loops held-open connections land exactly k on
+// each loop, every one on loops != 0 through the mailbox.
+TEST(WireServerTest, HandoffSpreadsConnectionsRoundRobin) {
+  const size_t kPerLoop = 3;
+  for (size_t loops : {size_t{2}, size_t{4}}) {
+    SeriesCatalog catalog;
+    WireServerOptions server_options;
+    server_options.num_event_loops = loops;
+    WireServer server =
+        WireServer::Create(server_options, &catalog).ValueOrDie();
+    server.Start();
+
+    std::vector<Socket> held;
+    for (size_t c = 0; c < kPerLoop * loops; ++c) {
+      held.push_back(ConnectTcp("127.0.0.1", server.tcp_port()).ValueOrDie());
+    }
+    // Adoption through a mailbox completes on the target loop's next
+    // turn; wait until every connection has an owner.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    WireServerStats stats = server.stats();
+    for (;;) {
+      uint64_t owned = 0;
+      for (const WireLoopStats& ls : stats.per_loop) {
+        owned += ls.accepted;
+      }
+      if (owned == kPerLoop * loops) {
+        break;
+      }
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "loops=" << loops << ": " << owned << " connections owned";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      stats = server.stats();
+    }
+
+    ASSERT_EQ(stats.per_loop.size(), loops);
+    uint64_t accepted = 0;
+    for (size_t i = 0; i < loops; ++i) {
+      const WireLoopStats& ls = stats.per_loop[i];
+      EXPECT_EQ(ls.accepted, kPerLoop) << "loops=" << loops << " loop " << i;
+      EXPECT_EQ(ls.handoffs, i == 0 ? 0u : kPerLoop)
+          << "loops=" << loops << " loop " << i;
+      accepted += ls.accepted;
+    }
+    EXPECT_EQ(accepted, stats.accepted);
+    EXPECT_EQ(stats.active, kPerLoop * loops);
   }
 }
 
