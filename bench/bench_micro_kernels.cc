@@ -21,6 +21,7 @@
 #include "fft/fft.h"
 #include "stats/rolling.h"
 #include "ts/generators.h"
+#include "window/panes.h"
 #include "window/preaggregate.h"
 #include "window/sma.h"
 
@@ -394,6 +395,25 @@ void BM_StreamingRefreshPerPane(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StreamingRefreshPerPane);
+
+// The per-refresh context rebuild alone: SeriesContext::Reset from a
+// wrapped pane ring of n means (both runs non-empty), as a refresh
+// calls it. Items are pane means.
+void BM_SeriesContextReset(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<double> x = MakeSignal(n + n / 3);
+  asap::window::PaneBuffer panes(/*pane_size=*/1, n);
+  for (double v : x) {
+    panes.Push(v);
+  }
+  asap::SeriesContext ctx;
+  for (auto _ : state) {
+    ctx.Reset(panes.Means());
+    benchmark::DoNotOptimize(ctx.prefix2());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_SeriesContextReset)->Arg(400)->Arg(4000);
 
 }  // namespace
 

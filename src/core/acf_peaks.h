@@ -56,6 +56,17 @@ AcfInfo ComputeAcfInfo(const std::vector<double>& series, size_t max_lag,
                        double peak_threshold = 0.2,
                        const ExecPolicy& policy = {});
 
+/// The same computation into `info`, reusing its vectors, with
+/// `scratch` holding the direct path's centred series: on the direct
+/// path it allocates nothing once their capacities suffice (the FFT
+/// path still allocates its transform buffers). `mean` must be
+/// fft::CenteringMean of the series; the direct path centres on it,
+/// and the FFT path, which costs far more than one sum, recomputes it.
+void ComputeAcfInfo(const std::vector<double>& series, double mean,
+                    size_t max_lag, double peak_threshold,
+                    const ExecPolicy& policy, AcfInfo* info,
+                    std::vector<double>* scratch);
+
 /// Peak detection over an existing ACF vector (lags 1..size-1).
 std::vector<size_t> FindAcfPeaks(const std::vector<double>& acf,
                                  double peak_threshold = 0.2);

@@ -5,7 +5,6 @@
 #include "common/macros.h"
 #include "common/task_pool.h"
 #include "core/kernels.h"
-#include "core/metrics.h"
 #include "core/search.h"
 #include "stats/descriptive.h"
 #include "stats/welford.h"
@@ -16,49 +15,103 @@ namespace asap {
 SeriesContext::SeriesContext(const std::vector<double>& x) { Reset(x); }
 
 void SeriesContext::Reset(const std::vector<double>& x) {
-  x_ = x;  // operator= reuses capacity when it suffices
-  mean_ = stats::Mean(x_);
-  roughness_ = Roughness(x_);
-  kurtosis_ = Kurtosis(x_);
+  Reset(window::SplitSpan{x.data(), x.size(), nullptr, 0});
+}
+
+void SeriesContext::Reset(const window::SplitSpan& x) {
+  const size_t n = x.size();
+  // assign/insert/resize reuse the vectors' capacity.
+  x_.assign(x.first, x.first + x.first_size);
+  x_.insert(x_.end(), x.second, x.second + x.second_size);
+  prefix_.resize(n + 1);
+  prefix2_.resize(n + 2);
   acf_valid_ = false;
 
-  const size_t n = x_.size();
-  is_constant_ = true;
+  const double* const xs = x_.data();
+  is_constant_ = true;  // compared from i = 1: one point is constant
   for (size_t i = 1; i < n; ++i) {
-    if (x_[i] != x_[0]) {
+    if (xs[i] != xs[0]) {
       is_constant_ = false;
       break;
     }
   }
 
-  prefix_.resize(n + 1);
-  prefix2_.resize(n + 2);
-  // Centered, compensated prefix sums: centering keeps the stored
-  // magnitudes ~ sqrt(N) * sigma (a random walk) instead of N * mean,
-  // and the running compensation keeps each stored prefix within
-  // O(eps) of the exact centered sum, so the O(1) SMA reconstruction
-  // stays within ~1e-9 of the naive running sum even for
-  // multi-million-point series. The second-order prefix gets the same
-  // treatment.
-  double sum = 0.0;
-  double comp = 0.0;
-  double sum2 = 0.0;
-  double comp2 = 0.0;
-  prefix_[0] = 0.0;
-  prefix2_[0] = 0.0;
-  prefix2_[1] = 0.0;  // prefix_[0] contributes nothing
-  for (size_t i = 0; i < n; ++i) {
-    const double y = (x_[i] - mean_) - comp;
-    const double t = sum + y;
-    comp = (t - sum) - y;
-    sum = t;
-    prefix_[i + 1] = sum;
+  // Every accumulator below is a serial dependency chain, so a sweep
+  // costs about the latency of its slowest chain per step. The
+  // slowest is Roughness()'s difference recurrence (a divide per
+  // point), and it needs no mean, so it runs across both passes at
+  // half speed: each step of a pass folds two points into that pass's
+  // chains and one point into the recurrence (its first half during
+  // pass A, its second during pass B, in series order).
+  const size_t half = n / 2;
+  stats::DiffAccumulator diff;
 
-    const double y2 = prefix_[i + 1] - comp2;
-    const double t2 = sum2 + y2;
-    comp2 = (t2 - sum2) - y2;
-    sum2 = t2;
-    prefix2_[i + 2] = sum2;
+  // Pass A: stats::Mean()'s compensated sum and the ACF's plain one
+  // (fft::CenteringMean).
+  stats::CompensatedSum total;
+  double plain = 0.0;
+  for (size_t j = 0; j < half; ++j) {
+    total.Add(xs[2 * j]);
+    plain += xs[2 * j];
+    total.Add(xs[2 * j + 1]);
+    plain += xs[2 * j + 1];
+    diff.Add(xs[j]);
+  }
+  if (n % 2 != 0) {
+    total.Add(xs[n - 1]);
+    plain += xs[n - 1];
+  }
+  mean_ = n != 0 ? total.sum / static_cast<double>(n) : 0.0;
+  acf_mean_ = n != 0 ? plain / static_cast<double>(n) : 0.0;
+
+  // Pass B: stats::ComputeMoments' central sums s2, s4 around that
+  // mean (kurtosis), and the centered, compensated prefix sums.
+  // Centering keeps the stored magnitudes ~ sqrt(N) * sigma (a random
+  // walk) instead of N * mean, and the compensation keeps each stored
+  // prefix within O(eps) of the exact centered sum, so the O(1) SMA
+  // reconstruction stays within ~1e-9 of the naive running sum even
+  // for multi-million-point series. The second-order prefix gets the
+  // same treatment.
+  double s2 = 0.0;
+  double s4 = 0.0;
+  stats::CompensatedSum p1;
+  stats::CompensatedSum p2;
+  double* const prefix = prefix_.data();
+  double* const prefix2 = prefix2_.data();
+  prefix[0] = 0.0;
+  prefix2[0] = 0.0;
+  prefix2[1] = 0.0;  // prefix[0] contributes nothing
+  const auto moments_and_prefixes = [&](size_t i) {
+    const double d = xs[i] - mean_;
+    const double d2 = d * d;
+    s2 += d2;
+    s4 += d2 * d2;
+    p1.Add(d);
+    prefix[i + 1] = p1.sum;
+    p2.Add(p1.sum);
+    prefix2[i + 2] = p2.sum;
+  };
+  for (size_t j = 0; j < half; ++j) {
+    moments_and_prefixes(2 * j);
+    moments_and_prefixes(2 * j + 1);
+    diff.Add(xs[half + j]);
+  }
+  if (n % 2 != 0) {
+    moments_and_prefixes(n - 1);
+    diff.Add(xs[n - 1]);
+  }
+
+  // The batch metrics' degenerate-input conventions: roughness 0 below
+  // three points; kurtosis 0 below two points or when the variance is
+  // not positive.
+  roughness_ = n >= 3 ? diff.roughness() : 0.0;
+  kurtosis_ = 0.0;
+  if (n >= 2) {
+    const double count = static_cast<double>(n);
+    const double variance = s2 / count;
+    if (!(variance <= 0.0)) {
+      kurtosis_ = (s4 / count) / (variance * variance);
+    }
   }
 }
 
@@ -76,7 +129,8 @@ const AcfInfo& SeriesContext::EnsureAcf(size_t max_lag, double peak_threshold,
   // part of the key: it never changes the computed values.
   if (!acf_valid_ || acf_max_lag_ != max_lag ||
       acf_threshold_ != peak_threshold) {
-    acf_ = ComputeAcfInfo(x_, max_lag, peak_threshold, policy);
+    ComputeAcfInfo(x_, acf_mean_, max_lag, peak_threshold, policy, &acf_,
+                   &acf_centered_);
     acf_valid_ = true;
     acf_max_lag_ = max_lag;
     acf_threshold_ = peak_threshold;
@@ -138,21 +192,17 @@ void ForEachNaiveSmaValue(const std::vector<double>& x, size_t w,
 CandidateScore ReplayNaiveScore(const std::vector<double>& x, size_t w) {
   const size_t m = x.size() - w + 1;
   stats::DiffAccumulator diff_acc;  // Roughness()'s accumulation
-  double ysum = 0.0;                // stats::Mean()'s compensated sum
-  double ycomp = 0.0;
+  stats::CompensatedSum ysum;       // stats::Mean()'s
   ForEachNaiveSmaValue(x, w, [&](double y) {
     diff_acc.Add(y);
-    const double t1 = y - ycomp;
-    const double t = ysum + t1;
-    ycomp = (t - ysum) - t1;
-    ysum = t;
+    ysum.Add(y);
   });
 
   CandidateScore score;
   score.roughness = m >= 3 ? diff_acc.roughness() : 0.0;
   if (m >= 2) {
     // stats::ComputeMoments' central accumulation around the Kahan mean.
-    const double mean = ysum / static_cast<double>(m);
+    const double mean = ysum.sum / static_cast<double>(m);
     double s2 = 0.0;
     double s4 = 0.0;
     ForEachNaiveSmaValue(x, w, [&](double y) {

@@ -37,6 +37,7 @@
 
 #include "common/exec_policy.h"
 #include "core/acf_peaks.h"
+#include "window/panes.h"
 
 namespace asap {
 
@@ -44,16 +45,30 @@ struct CandidateScore;  // core/search.h
 
 /// Per-series evaluation state shared by all candidate evaluations.
 /// Owns a copy of the series, so it has no lifetime coupling to the
-/// caller's buffer; Reset() reuses all internal capacity, which is what
-/// the streaming refresh path relies on to stay allocation-stable.
+/// caller's buffer. Reset() and EnsureAcf() write into buffers the
+/// context owns and reuses, so once a context has seen a series of a
+/// given length (and an ACF of a given lag count, on the direct path)
+/// rebuilding and searching it again allocates nothing — what the
+/// streaming refresh path relies on.
 class SeriesContext {
  public:
   SeriesContext() = default;
   explicit SeriesContext(const std::vector<double>& x);
 
-  /// Rebinds the context to a new series, reusing internal buffers
-  /// (prefix sums are rebuilt, cached metrics recomputed, cached ACF
-  /// invalidated).
+  /// Rebinds the context to the series `x.first` then `x.second` (the
+  /// pane ring's two runs, so a refresh reads panes in place) and
+  /// invalidates the cached ACF. After the copy into x() and the
+  /// constancy scan (which stops at the first differing value), the
+  /// rebuild is two fused sweeps:
+  ///   A: the compensated mean, the ACF's plain mean and the first
+  ///      half of the roughness recurrence;
+  ///   B: the central moments of kurtosis around that mean, both
+  ///      compensated prefix chains and the recurrence's second half.
+  /// Each accumulator runs in its own operation order, so every
+  /// cached value is bitwise what stats::Mean, Roughness, Kurtosis and
+  /// a separate prefix loop give.
+  void Reset(const window::SplitSpan& x);
+  /// Reset over one contiguous series.
   void Reset(const std::vector<double>& x);
 
   size_t size() const { return x_.size(); }
@@ -103,6 +118,10 @@ class SeriesContext {
   std::vector<double> x_;
   std::vector<double> prefix_;
   std::vector<double> prefix2_;
+  /// fft::CenteringMean(x_), summed during Reset's pass A, and the
+  /// ACF's centred copy of x_ (direct path scratch).
+  double acf_mean_ = 0.0;
+  std::vector<double> acf_centered_;
   double mean_ = 0.0;
   double roughness_ = 0.0;
   double kurtosis_ = 0.0;

@@ -70,16 +70,18 @@ void StreamingAsap::RestorePanes(const double* means, size_t n) {
   }
 }
 
+const std::shared_ptr<const StreamingAsap::Frame>&
+StreamingAsap::EmptyFrame() {
+  static const std::shared_ptr<const Frame> kEmpty =
+      std::make_shared<const Frame>();
+  return kEmpty;
+}
+
 std::shared_ptr<const StreamingAsap::Frame> StreamingAsap::frame_snapshot()
     const {
   const std::shared_ptr<const FrameRing> ring =
       std::atomic_load_explicit(&published_ring_, std::memory_order_acquire);
-  if (ring != nullptr) {
-    return ring->back();
-  }
-  static const std::shared_ptr<const Frame> kEmpty =
-      std::make_shared<const Frame>();
-  return kEmpty;
+  return ring != nullptr ? ring->back() : EmptyFrame();
 }
 
 std::vector<std::shared_ptr<const StreamingAsap::Frame>>
@@ -90,14 +92,13 @@ StreamingAsap::FrameHistory() const {
 }
 
 void StreamingAsap::Refresh() {
-  const std::vector<double> x = panes_.PaneMeans();
-  if (x.size() < 4) {
+  if (panes_.size() < 4) {
     return;
   }
-  // Rebuild the evaluation context from the pane buffer: prefix sums
-  // and series metrics are recomputed once per refresh, then every
+  // Rebuild the evaluation context straight from the pane ring: prefix
+  // sums and series metrics are recomputed once per refresh, then every
   // candidate evaluation below is an allocation-free fused pass.
-  ctx_.Reset(x);
+  ctx_.Reset(panes_.Means());
 
   // CheckLastWindow: seed with the previous solution if it is still
   // feasible on the refreshed data; otherwise search from scratch.
@@ -109,8 +110,6 @@ void StreamingAsap::Refresh() {
           ? CheckLastWindow(&ctx_, previous_window_, options_.search, &check)
           : AsapState{};
   const bool seeded = state.has_feasible;
-  frame_.candidates_evaluated += check.candidates_evaluated;
-  frame_.allocation_free_evals += check.allocation_free_evals;
 
   SearchResult result;
   switch (options_.strategy) {
@@ -128,19 +127,30 @@ void StreamingAsap::Refresh() {
       break;
   }
 
-  frame_.series = window::Sma(x, result.window);
-  frame_.window = result.window;
-  frame_.refreshes += 1;
-  frame_.candidates_evaluated += result.diag.candidates_evaluated;
-  frame_.allocation_free_evals += result.diag.allocation_free_evals;
+  refreshes_ += 1;
+  candidates_evaluated_ +=
+      check.candidates_evaluated + result.diag.candidates_evaluated;
+  allocation_free_evals_ +=
+      check.allocation_free_evals + result.diag.allocation_free_evals;
   if (seeded) {
-    frame_.seeded_searches += 1;
+    seeded_searches_ += 1;
   } else {
-    frame_.cold_searches += 1;
+    cold_searches_ += 1;
   }
-
   has_previous_window_ = true;
   previous_window_ = result.window;
+
+  // The SMA is written straight into the frame being published.
+  auto fresh = std::make_shared<Frame>();
+  fresh->series.resize(ctx_.size() - result.window + 1);
+  window::Sma(ctx_.x().data(), ctx_.size(), result.window,
+              fresh->series.data());
+  fresh->window = result.window;
+  fresh->refreshes = refreshes_;
+  fresh->seeded_searches = seeded_searches_;
+  fresh->cold_searches = cold_searches_;
+  fresh->candidates_evaluated = candidates_evaluated_;
+  fresh->allocation_free_evals = allocation_free_evals_;
 
   // Publish the refreshed frame for lock-free snapshot readers (the
   // sharded engine's dashboards read frames mid-run through this) by
@@ -148,20 +158,18 @@ void StreamingAsap::Refresh() {
   // the previous ring's frame pointers (cheap — K-1 shared_ptr
   // copies), so readers always see an immutable, internally
   // consistent history. K == 1 is a one-frame ring.
-  std::shared_ptr<const Frame> fresh = std::make_shared<Frame>(frame_);
   const size_t ring_frames = options_.snapshot_ring_frames;
-  const std::shared_ptr<const FrameRing> old = std::atomic_load_explicit(
-      &published_ring_, std::memory_order_acquire);
   auto ring = std::make_shared<FrameRing>();
   ring->reserve(ring_frames);
-  if (old != nullptr) {
-    const size_t keep = std::min(old->size(), ring_frames - 1);
-    ring->insert(ring->end(), old->end() - static_cast<ptrdiff_t>(keep),
-                 old->end());
+  if (published_ring_ != nullptr) {
+    const FrameRing& old = *published_ring_;
+    const size_t keep = std::min(old.size(), ring_frames - 1);
+    ring->insert(ring->end(), old.end() - static_cast<ptrdiff_t>(keep),
+                 old.end());
   }
   ring->push_back(std::move(fresh));
   std::atomic_store_explicit(&published_ring_,
-                             std::shared_ptr<const FrameRing>(ring),
+                             std::shared_ptr<const FrameRing>(std::move(ring)),
                              std::memory_order_release);
 }
 

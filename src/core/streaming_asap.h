@@ -160,7 +160,15 @@ class StreamingAsap {
   /// before any live point is pushed.
   void RestorePanes(const double* means, size_t n);
 
-  const Frame& frame() const { return frame_; }
+  /// The newest published frame (frame_snapshot()'s frame; an empty
+  /// Frame before the first refresh). For the ingest thread: the
+  /// reference stays valid until this operator's next refresh, restore
+  /// or destruction, whichever comes first. Other threads read frames
+  /// through frame_snapshot().
+  const Frame& frame() const {
+    return published_ring_ != nullptr ? *published_ring_->back()
+                                      : *EmptyFrame();
+  }
 
   /// Snapshot of the most recent frame, safe to call from any thread
   /// while another thread is pushing points: it is the back() of the
@@ -202,19 +210,27 @@ class StreamingAsap {
   window::PaneBuffer panes_;
   uint64_t points_since_refresh_ = 0;
 
-  /// Evaluation context rebuilt from the pane buffer at every refresh
-  /// (Reset reuses its buffers, so steady-state refreshes stay
-  /// allocation-stable); candidate scoring runs through its fused
-  /// zero-allocation kernel.
+  /// The shared empty Frame served before the first refresh.
+  static const std::shared_ptr<const Frame>& EmptyFrame();
+
+  /// Evaluation context rebuilt in place from the pane ring at every
+  /// refresh; once warm, the rebuild, the ACF and the search allocate
+  /// nothing, so a refresh allocates only to publish its frame.
   SeriesContext ctx_;
   bool has_previous_window_ = false;
   size_t previous_window_ = 1;
-  Frame frame_;
+  /// Lifetime counters, copied into each published Frame.
+  uint64_t refreshes_ = 0;
+  uint64_t seeded_searches_ = 0;
+  uint64_t cold_searches_ = 0;
+  uint64_t candidates_evaluated_ = 0;
+  uint64_t allocation_free_evals_ = 0;
   /// The snapshot ring (oldest first, at most snapshot_ring_frames
   /// frames; null before the first refresh): the single publication
   /// point, swapped atomically at the end of each refresh, so
   /// frame_snapshot() (serving back()) and FrameHistory() can never
-  /// be observed out of step.
+  /// be observed out of step. Written only by the ingest thread, which
+  /// may therefore read it without the atomic load (frame()).
   using FrameRing = std::vector<std::shared_ptr<const Frame>>;
   std::shared_ptr<const FrameRing> published_ring_;
 };

@@ -11,27 +11,26 @@ namespace asap {
 namespace fft {
 
 namespace {
-double Mean(const std::vector<double>& v) {
-  double sum = 0.0;
-  for (double x : v) {
-    sum += x;
-  }
-  return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
-}
-
-// Turns autocovariances c[0..max_lag] into correlations c[k] / c[0],
+// Turns autocovariances c[0..lags) into correlations c[k] / c[0],
 // with acf[0] = 1 and an all-zero tail when c[0] is not a positive
 // finite variance (a constant series has no correlation structure).
-void NormalizeByLagZero(std::vector<double>* acf) {
-  std::vector<double>& c = *acf;
+void NormalizeByLagZero(double* c, size_t lags) {
   const double c0 = c[0];
   c[0] = 1.0;
   const bool degenerate = c0 <= 0.0 || !std::isfinite(c0);
-  for (size_t k = 1; k < c.size(); ++k) {
+  for (size_t k = 1; k < lags; ++k) {
     c[k] = degenerate ? 0.0 : c[k] / c0;
   }
 }
 }  // namespace
+
+double CenteringMean(const double* series, size_t n) {
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    sum += series[i];
+  }
+  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
 
 std::vector<double> AutocorrelationFft(const std::vector<double>& series,
                                        size_t max_lag,
@@ -40,7 +39,7 @@ std::vector<double> AutocorrelationFft(const std::vector<double>& series,
   ASAP_CHECK_GE(n, 1u);
   ASAP_CHECK_LT(max_lag, n);
 
-  const double mean = Mean(series);
+  const double mean = CenteringMean(series.data(), n);
   // Zero-pad to >= 2n so the circular correlation equals the linear one
   // for all lags of interest.
   const size_t m = NextPowerOfTwo(2 * n);
@@ -68,27 +67,31 @@ std::vector<double> AutocorrelationFft(const std::vector<double>& series,
   for (size_t k = 0; k <= max_lag; ++k) {
     acf[k] = buf[k].real();
   }
-  NormalizeByLagZero(&acf);
+  NormalizeByLagZero(acf.data(), acf.size());
   return acf;
 }
 
 std::vector<double> AutocorrelationBruteForce(const std::vector<double>& series,
                                               size_t max_lag,
                                               const ExecPolicy& policy) {
-  const size_t n = series.size();
+  std::vector<double> centered(series.size());
+  std::vector<double> acf(max_lag + 1);
+  AutocorrelationBruteForce(series.data(), series.size(),
+                            CenteringMean(series.data(), series.size()),
+                            max_lag, policy, centered.data(), acf.data());
+  return acf;
+}
+
+void AutocorrelationBruteForce(const double* series, size_t n, double mean,
+                               size_t max_lag, const ExecPolicy& policy,
+                               double* centered, double* acf) {
   ASAP_CHECK_GE(n, 1u);
   ASAP_CHECK_LT(max_lag, n);
-
-  const double mean = Mean(series);
-  std::vector<double> centered(n);
   for (size_t i = 0; i < n; ++i) {
     centered[i] = series[i] - mean;
   }
-  std::vector<double> acf(max_lag + 1);
-  kern::ActiveKernels(policy.simd)
-      .autocov(centered.data(), n, max_lag + 1, acf.data());
-  NormalizeByLagZero(&acf);
-  return acf;
+  kern::ActiveKernels(policy.simd).autocov(centered, n, max_lag + 1, acf);
+  NormalizeByLagZero(acf, max_lag + 1);
 }
 
 }  // namespace fft

@@ -45,6 +45,19 @@ std::vector<double> AutocorrelationBruteForce(const std::vector<double>& series,
                                               size_t max_lag,
                                               const ExecPolicy& policy = {});
 
+/// The mean both estimators centre on: the plain sum of series[0..n)
+/// in ascending order, divided by n (0 when n == 0).
+double CenteringMean(const double* series, size_t n);
+
+/// The direct estimator over series[0..n) into caller-owned buffers,
+/// centred on `mean`, which must be CenteringMean(series, n) (a caller
+/// that sums the series in another pass passes it in and saves one):
+/// `centered` is n doubles of scratch, `acf` receives max_lag + 1
+/// values. Allocation-free.
+void AutocorrelationBruteForce(const double* series, size_t n, double mean,
+                               size_t max_lag, const ExecPolicy& policy,
+                               double* centered, double* acf);
+
 }  // namespace fft
 }  // namespace asap
 

@@ -13,16 +13,12 @@ double Mean(const std::vector<double>& v) {
     return 0.0;
   }
   // Pairwise-ish accumulation is unnecessary at our sizes; compensated
-  // (Kahan) summation keeps error independent of N.
-  double sum = 0.0;
-  double comp = 0.0;
+  // summation keeps error independent of N.
+  CompensatedSum acc;
   for (double x : v) {
-    double y = x - comp;
-    double t = sum + y;
-    comp = (t - sum) - y;
-    sum = t;
+    acc.Add(x);
   }
-  return sum / static_cast<double>(v.size());
+  return acc.sum / static_cast<double>(v.size());
 }
 
 double Variance(const std::vector<double>& v) {

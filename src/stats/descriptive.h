@@ -14,7 +14,22 @@
 namespace asap {
 namespace stats {
 
-/// Arithmetic mean; 0 for empty input.
+/// Compensated (Kahan) running sum: the error stays independent of the
+/// number of terms. Mean() and every compensated chain that must match
+/// it bit for bit fold values through this one operation order.
+struct CompensatedSum {
+  double sum = 0.0;
+  double comp = 0.0;
+
+  void Add(double x) {
+    const double y = x - comp;
+    const double t = sum + y;
+    comp = (t - sum) - y;
+    sum = t;
+  }
+};
+
+/// Arithmetic mean (a CompensatedSum over n); 0 for empty input.
 double Mean(const std::vector<double>& v);
 
 /// Population variance (divide by N); 0 for fewer than 2 elements.

@@ -70,42 +70,48 @@ PaneBuffer::PaneBuffer(size_t pane_size, size_t max_panes, int64_t epoch,
       epoch_(epoch),
       width_ticks_(width_ticks) {
   ASAP_CHECK_GE(pane_size, 1u);
+  ASAP_CHECK_GE(max_panes, 1u);
+  ring_.reserve(max_panes);
+}
+
+void PaneBuffer::Retain(double mean) {
+  if (ring_.size() < max_panes_) {
+    ring_.push_back(mean);  // within the reserved capacity
+    return;
+  }
+  ring_[head_] = mean;
+  head_ = head_ + 1 == max_panes_ ? 0 : head_ + 1;
 }
 
 void PaneBuffer::CommitCurrent() {
+  // The sink gets the exact mean the query path will later read back —
+  // recovery restores this double bitwise.
+  const double mean = current_.Mean();
   if (sink_ != nullptr) {
-    // Fire with the exact mean the query path will later read back —
-    // recovery restores this double bitwise.
-    sink_(sink_ctx_, current_.Mean());
+    sink_(sink_ctx_, mean);
   }
-  panes_.push_back(current_);
+  Retain(mean);
   current_ = Pane{};
-  if (max_panes_ != 0 && panes_.size() > max_panes_) {
-    panes_.pop_front();
-  }
 }
 
 void PaneBuffer::RestoreCompleted(double mean) {
   ASAP_CHECK_EQ(current_.count, 0u);  // restore precedes live ingest
   points_consumed_ += pane_size_;
-  // {sum: mean, count: 1} makes Mean() the recorded value bitwise.
-  panes_.push_back(Pane{mean, 1});
-  if (max_panes_ != 0 && panes_.size() > max_panes_) {
-    panes_.pop_front();
-  }
+  Retain(mean);
 }
 
 std::vector<double> PaneBuffer::PaneMeans() const {
+  const SplitSpan view = Means();
   std::vector<double> means;
-  means.reserve(panes_.size());
-  for (const Pane& p : panes_) {
-    means.push_back(p.Mean());
-  }
+  means.reserve(view.size());
+  means.insert(means.end(), view.first, view.first + view.first_size);
+  means.insert(means.end(), view.second, view.second + view.second_size);
   return means;
 }
 
 void PaneBuffer::Reset() {
-  panes_.clear();
+  ring_.clear();
+  head_ = 0;
   current_ = Pane{};
   points_consumed_ = 0;
 }

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace asap {
@@ -54,9 +53,22 @@ inline int64_t PaneIndexForTs(int64_t ts, int64_t epoch, int64_t width) {
 std::vector<double> PaneSma(const std::vector<double>& x, size_t w,
                             size_t slide);
 
+/// A sequence of doubles held as two contiguous runs, read `first`
+/// then `second` (a ring buffer's wrapped contents, oldest first).
+struct SplitSpan {
+  const double* first = nullptr;
+  size_t first_size = 0;
+  const double* second = nullptr;
+  size_t second_size = 0;
+
+  size_t size() const { return first_size + second_size; }
+};
+
 /// Streaming pane builder: accumulates raw points into panes and
-/// retains the most recent `max_panes` of them (the visible window of
-/// Streaming ASAP). A pane closes on one of two clocks, chosen per
+/// retains the means of the most recent `max_panes` of them (the
+/// visible window of Streaming ASAP) in a fixed-capacity ring, so a
+/// commit overwrites the oldest slot and allocates nothing once the
+/// ring is full. A pane closes on one of two clocks, chosen per
 /// Append call (do not mix them on one buffer): the arrival clock
 /// (every `pane_size` points) or the time grid (a bucket of
 /// `width_ticks` ticks anchored at `epoch`).
@@ -69,8 +81,9 @@ class PaneBuffer {
   using PaneSink = void (*)(void* ctx, double mean);
 
   /// pane_size: points per pane on the arrival clock; max_panes:
-  /// retained pane count (0 = unbounded); epoch/width_ticks: the time
-  /// grid timestamped Appends use (width_ticks 0 = no time grid).
+  /// retained pane count (>= 1; the ring's capacity, reserved up
+  /// front); epoch/width_ticks: the time grid timestamped Appends use
+  /// (width_ticks 0 = no time grid).
   PaneBuffer(size_t pane_size, size_t max_panes, int64_t epoch = 0,
              int64_t width_ticks = 0);
 
@@ -130,18 +143,25 @@ class PaneBuffer {
   }
 
   /// Restores one previously completed pane (crash recovery): its
-  /// mean is appended as an already-complete pane and the point clock
+  /// mean is retained as an already-complete pane and the point clock
   /// advances by pane_size. The sink is NOT fired — the pane is
-  /// already durable. It is stored as {sum: mean, count: 1} so Mean()
-  /// returns the recorded value bitwise exactly (re-multiplying by
-  /// pane_size and dividing back would round).
+  /// already durable. The recorded mean is stored as is, bitwise
+  /// (re-multiplying by pane_size and dividing back would round).
   void RestoreCompleted(double mean);
 
-  /// Means of all retained (complete) panes, oldest first.
+  /// Means of all retained (complete) panes, oldest first, as the
+  /// ring's two contiguous runs: no copy, valid until the next commit,
+  /// restore or Reset. The refresh path reads panes through this.
+  SplitSpan Means() const {
+    return SplitSpan{ring_.data() + head_, ring_.size() - head_,
+                     ring_.data(), head_};
+  }
+
+  /// Means() copied into one vector.
   std::vector<double> PaneMeans() const;
 
   /// Number of retained complete panes.
-  size_t size() const { return panes_.size(); }
+  size_t size() const { return ring_.size(); }
 
   size_t pane_size() const { return pane_size_; }
 
@@ -162,16 +182,24 @@ class PaneBuffer {
     current_.count += n;
   }
 
-  /// Retains the completed in-progress pane, evicting the oldest pane
-  /// beyond max_panes.
+  /// Retains the completed in-progress pane's mean and starts a new
+  /// pane.
   void CommitCurrent();
+
+  /// Appends a mean to the ring, overwriting the oldest once it holds
+  /// max_panes.
+  void Retain(double mean);
 
   size_t pane_size_;
   size_t max_panes_;
   int64_t epoch_;
   int64_t width_ticks_;
-  std::deque<Pane> panes_;  // complete panes only
-  Pane current_;            // in-progress pane
+  /// Means of complete panes. While filling, oldest first from slot 0;
+  /// once full (max_panes entries) the oldest sits at head_ and each
+  /// commit overwrites it and advances head_.
+  std::vector<double> ring_;
+  size_t head_ = 0;
+  Pane current_;  // in-progress pane
   /// Time bucket current_ belongs to; meaningful only on the time
   /// grid while current_.count > 0.
   int64_t current_index_ = 0;

@@ -8,8 +8,14 @@ namespace window {
 std::vector<double> Sma(const std::vector<double>& x, size_t w) {
   ASAP_CHECK_GE(w, 1u);
   ASAP_CHECK_LE(w, x.size());
-  const size_t n = x.size();
-  std::vector<double> out(n - w + 1);
+  std::vector<double> out(x.size() - w + 1);
+  Sma(x.data(), x.size(), w, out.data());
+  return out;
+}
+
+void Sma(const double* x, size_t n, size_t w, double* out) {
+  ASAP_CHECK_GE(w, 1u);
+  ASAP_CHECK_LE(w, n);
   const double inv_w = 1.0 / static_cast<double>(w);
 
   double sum = 0.0;
@@ -29,7 +35,6 @@ std::vector<double> Sma(const std::vector<double>& x, size_t w) {
     }
     out[i] = sum * inv_w;
   }
-  return out;
 }
 
 std::vector<double> SmaWithSlide(const std::vector<double>& x, size_t w,

@@ -27,6 +27,10 @@ inline constexpr size_t kRecomputeInterval = 1u << 16;
 /// re-summation to bound floating-point drift.
 std::vector<double> Sma(const std::vector<double>& x, size_t w);
 
+/// The same SMA of x[0..n) written to out[0..n - w + 1), with no
+/// allocation.
+void Sma(const double* x, size_t n, size_t w, double* out);
+
 /// Batch SMA with an arbitrary slide: windows start at 0, slide,
 /// 2*slide, ...; only full windows are emitted.
 std::vector<double> SmaWithSlide(const std::vector<double>& x, size_t w,

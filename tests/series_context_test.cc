@@ -2,13 +2,19 @@
 // must agree with the naive reference evaluator (EvaluateWindow) to
 // 1e-9 across arbitrary series and windows, perform no heap
 // allocations per candidate, and drive every search strategy to the
-// same chosen window.
+// same chosen window. The fused two-sweep Reset must reproduce the
+// multi-pass definition of every cached value bit for bit, and a warm
+// context must rebuild and search without touching the heap.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -17,7 +23,9 @@
 #include "core/series_context.h"
 #include "core/smooth.h"
 #include "core/streaming_asap.h"
+#include "stats/descriptive.h"
 #include "ts/generators.h"
+#include "window/panes.h"
 #include "window/sma.h"
 
 // --- Global allocation counting ---------------------------------------------
@@ -284,6 +292,155 @@ TEST(SeriesContextTest, EnsureAcfMatchesDirectComputationAndCaches) {
   EXPECT_EQ(shorter.peaks, direct30.peaks);
 }
 
+// --- Fused Reset vs the multi-pass definition ----------------------------------
+
+// What Reset caches, computed the way it was before the passes were
+// fused: one pass per value, through the library's own batch metrics.
+struct MultiPassContext {
+  double mean = 0.0;
+  double roughness = 0.0;
+  double kurtosis = 0.0;
+  bool is_constant = true;
+  std::vector<double> prefix;
+  std::vector<double> prefix2;
+};
+
+MultiPassContext MultiPass(const std::vector<double>& x) {
+  MultiPassContext ref;
+  ref.mean = stats::Mean(x);
+  ref.roughness = Roughness(x);
+  ref.kurtosis = Kurtosis(x);
+  const size_t n = x.size();
+  for (size_t i = 1; i < n; ++i) {
+    if (x[i] != x[0]) {
+      ref.is_constant = false;
+      break;
+    }
+  }
+  ref.prefix.assign(n + 1, 0.0);
+  ref.prefix2.assign(n + 2, 0.0);
+  double sum = 0.0;
+  double comp = 0.0;
+  double sum2 = 0.0;
+  double comp2 = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double y = (x[i] - ref.mean) - comp;
+    const double t = sum + y;
+    comp = (t - sum) - y;
+    sum = t;
+    ref.prefix[i + 1] = sum;
+
+    const double y2 = ref.prefix[i + 1] - comp2;
+    const double t2 = sum2 + y2;
+    comp2 = (t2 - sum2) - y2;
+    sum2 = t2;
+    ref.prefix2[i + 2] = sum2;
+  }
+  return ref;
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectContextMatches(const SeriesContext& ctx,
+                          const std::vector<double>& x,
+                          const MultiPassContext& ref,
+                          const std::string& what) {
+  ASSERT_EQ(ctx.size(), x.size()) << what;
+  for (size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(BitsOf(ctx.x()[i]), BitsOf(x[i])) << what << " x[" << i << "]";
+  }
+  EXPECT_EQ(BitsOf(ctx.mean()), BitsOf(ref.mean)) << what;
+  EXPECT_EQ(BitsOf(ctx.roughness()), BitsOf(ref.roughness)) << what;
+  EXPECT_EQ(BitsOf(ctx.kurtosis()), BitsOf(ref.kurtosis)) << what;
+  EXPECT_EQ(ctx.is_constant(), ref.is_constant) << what;
+  for (size_t i = 0; i < ref.prefix.size(); ++i) {
+    ASSERT_EQ(BitsOf(ctx.prefix()[i]), BitsOf(ref.prefix[i]))
+        << what << " prefix[" << i << "]";
+  }
+  for (size_t i = 0; i < ref.prefix2.size(); ++i) {
+    ASSERT_EQ(BitsOf(ctx.prefix2()[i]), BitsOf(ref.prefix2[i]))
+        << what << " prefix2[" << i << "]";
+  }
+}
+
+// The context's ACF (centred on the mean Reset summed in pass A) is
+// bitwise the standalone ComputeAcfInfo's.
+void ExpectAcfMatches(SeriesContext* ctx, const std::vector<double>& x,
+                      const std::string& what) {
+  if (x.size() < 2) {
+    return;
+  }
+  const size_t max_lag = x.size() / 10 + 1;
+  const AcfInfo want = ComputeAcfInfo(x, max_lag, 0.2);
+  const AcfInfo& got = ctx->EnsureAcf(max_lag, 0.2);
+  ASSERT_EQ(got.correlations.size(), want.correlations.size()) << what;
+  for (size_t k = 0; k < want.correlations.size(); ++k) {
+    ASSERT_EQ(BitsOf(got.correlations[k]), BitsOf(want.correlations[k]))
+        << what << " acf[" << k << "]";
+  }
+  EXPECT_EQ(got.peaks, want.peaks) << what;
+  EXPECT_EQ(BitsOf(got.max_acf), BitsOf(want.max_acf)) << what;
+}
+
+// Checks x through the vector overload and through split views at
+// several cut points (the pane ring's two runs), on one reused context
+// so stale state from a longer series would show.
+void ExpectResetParity(SeriesContext* ctx, const std::vector<double>& x,
+                       const std::string& what) {
+  const MultiPassContext ref = MultiPass(x);
+  ctx->Reset(x);
+  ExpectContextMatches(*ctx, x, ref, what + " vector");
+  ExpectAcfMatches(ctx, x, what + " vector");
+  const size_t n = x.size();
+  for (size_t cut : {size_t{0}, n / 3, n}) {
+    const std::string where = what + " split at " + std::to_string(cut);
+    ctx->Reset(window::SplitSpan{x.data(), cut, x.data() + cut, n - cut});
+    ExpectContextMatches(*ctx, x, ref, where);
+    ExpectAcfMatches(ctx, x, where);
+  }
+}
+
+class FusedResetParityTest : public ::testing::TestWithParam<uint64_t> {};
+INSTANTIATE_TEST_SUITE_P(Seeds, FusedResetParityTest,
+                         ::testing::Range<uint64_t>(1, 25));
+
+TEST_P(FusedResetParityTest, CachedValuesMatchMultiPassDefinitionBitwise) {
+  const uint64_t seed = GetParam();
+  SeriesContext ctx;
+  Pcg32 rng(seed);
+  for (size_t n : {0u, 1u, 2u, 3u, 4u, 7u, 400u, 1000u, 4001u}) {
+    // Short series are plain noise (MixedSeries needs room for its
+    // spike and level shift).
+    std::vector<double> x =
+        n >= 8 ? MixedSeries(seed, n) : gen::WhiteNoise(&rng, n);
+    // An offset far from zero makes the compensated mean do real work.
+    for (double& v : x) {
+      v += 1e6 * static_cast<double>(seed % 3);
+    }
+    ExpectResetParity(&ctx, x, "mixed n=" + std::to_string(n));
+  }
+  const double level = static_cast<double>(seed) * 0.37 - 4.0;
+  ExpectResetParity(&ctx, std::vector<double>(500, level), "constant");
+
+  const size_t period = 2 + seed % 7;
+  std::vector<double> periodic(600);
+  for (size_t i = 0; i < periodic.size(); ++i) {
+    periodic[i] = static_cast<double>((i % period) * (i % period)) - level;
+  }
+  ExpectResetParity(&ctx, periodic, "periodic");
+
+  std::vector<double> with_nan = MixedSeries(seed, 300);
+  with_nan[seed * 11 % with_nan.size()] =
+      std::numeric_limits<double>::quiet_NaN();
+  ExpectResetParity(&ctx, with_nan, "single NaN");
+  ExpectResetParity(&ctx, {std::numeric_limits<double>::quiet_NaN()},
+                    "NaN alone");
+}
+
 // --- Zero allocations per candidate ------------------------------------------
 
 TEST(ScoreWindowTest, PerformsZeroHeapAllocationsPerCandidate) {
@@ -308,6 +465,80 @@ TEST(ScoreWindowTest, NaiveEvaluatorDoesAllocate) {
   (void)EvaluateWindow(x, 64);
   const size_t after = g_heap_allocations.load(std::memory_order_relaxed);
   EXPECT_GT(after, before);
+}
+
+// --- Zero allocations per refresh -------------------------------------------------
+
+// One refresh's compute path on a warm context: rebuild from the pane
+// ring's two runs, re-check the last window, run the seeded ASAP search
+// (ACF included), then rebuild again after the ring moves on.
+TEST(SeriesContextTest, WarmRebuildAndSearchAllocateNothing) {
+  constexpr size_t kPanes = 400;
+  const std::vector<double> x = MixedSeries(5, 3 * kPanes);
+  window::PaneBuffer panes(/*pane_size=*/1, kPanes);
+  size_t next = 0;
+  for (; next < kPanes + kPanes / 3; ++next) {
+    panes.Push(x[next]);  // wrapped: both runs are non-empty
+  }
+  ASSERT_GT(panes.Means().second_size, 0u);
+
+  SearchOptions options;
+  SeriesContext ctx;
+  size_t window = 1;
+  const auto refresh = [&] {
+    ctx.Reset(panes.Means());
+    SearchDiagnostics diag;
+    AsapState state = CheckLastWindow(&ctx, window, options, &diag);
+    window = AsapSearch(&ctx, options, &state).window;
+    panes.Push(x[next++]);
+    ctx.Reset(panes.Means());
+  };
+  refresh();  // warm-up: sizes every buffer the context owns
+
+  const size_t before = g_heap_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 20; ++i) {
+    refresh();
+  }
+  const size_t after = g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "a warm refresh compute path allocated";
+  EXPECT_GE(window, 1u);
+  EXPECT_EQ(ctx.size(), kPanes);
+}
+
+// A steady-state refresh allocates only to publish: the frame, its
+// series and the one-frame snapshot ring (a shared_ptr and its vector).
+TEST(StreamingAsapAllocationTest, SteadyRefreshAllocatesOnlyToPublish) {
+  StreamingOptions options;
+  options.resolution = 400;
+  options.visible_points = 8000;
+  options.snapshot_ring_frames = 1;
+  StreamingAsap op = StreamingAsap::Create(options).ValueOrDie();
+  const size_t pane = op.pane_size();
+  constexpr size_t kWarmup = 50;
+  constexpr size_t kRefreshes = 1000;
+  Pcg32 rng(17);
+  const size_t total = options.visible_points + (kWarmup + kRefreshes) * pane;
+  const std::vector<double> x =
+      gen::Add(gen::Sine(total, 50.0 * static_cast<double>(pane)),
+               gen::WhiteNoise(&rng, total, 0.4));
+  op.Prefill(std::vector<double>(x.begin(),
+                                 x.begin() + options.visible_points));
+  const double* next = x.data() + options.visible_points;
+  for (size_t i = 0; i < kWarmup; ++i, next += pane) {
+    ASSERT_EQ(op.PushBatch(next, pane), 1u);
+  }
+
+  const size_t before = g_heap_allocations.load(std::memory_order_relaxed);
+  size_t refreshes = 0;
+  for (size_t i = 0; i < kRefreshes; ++i, next += pane) {
+    refreshes += op.PushBatch(next, pane);
+  }
+  const size_t after = g_heap_allocations.load(std::memory_order_relaxed);
+  ASSERT_EQ(refreshes, kRefreshes);
+  const double per_refresh =
+      static_cast<double>(after - before) / static_cast<double>(kRefreshes);
+  EXPECT_LE(per_refresh, 4.0);
+  EXPECT_EQ(op.frame().refreshes, kWarmup + kRefreshes);
 }
 
 // --- Search strategies: fused vs naive evaluator ------------------------------

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include "common/random.h"
 #include "window/panes.h"
 #include "window/preaggregate.h"
@@ -212,7 +217,7 @@ TEST(PanesTest, PaneSmaMatchesSlideSma) {
 }
 
 TEST(PaneBufferTest, CompletesPanesAtBoundary) {
-  PaneBuffer buffer(3, 0);
+  PaneBuffer buffer(3, 4);
   EXPECT_FALSE(buffer.Push(1));
   EXPECT_FALSE(buffer.Push(2));
   EXPECT_TRUE(buffer.Push(3));  // pane completed
@@ -239,7 +244,7 @@ void CollectMean(void* ctx, double mean) {
 TEST(PaneBufferTest, TimestampedAppendCommitsOnBucketChange) {
   // Time grid: 10 ticks per bucket from epoch 0. pane_size (2) is the
   // arrival clock's and must not close a time-grid pane.
-  PaneBuffer buffer(2, 0, /*epoch=*/0, /*width_ticks=*/10);
+  PaneBuffer buffer(2, 3, /*epoch=*/0, /*width_ticks=*/10);
   std::vector<double> sunk;
   buffer.set_pane_sink(&CollectMean, &sunk);
 
@@ -268,12 +273,92 @@ TEST(PaneBufferTest, TimestampedAppendCommitsOnBucketChange) {
 }
 
 TEST(PaneBufferTest, ResetClears) {
-  PaneBuffer buffer(2, 0);
+  PaneBuffer buffer(2, 4);
   buffer.Push(1);
   buffer.Push(2);
   buffer.Reset();
   EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(buffer.Means().size(), 0u);
   EXPECT_EQ(buffer.points_consumed(), 0u);
+}
+
+TEST(PaneBufferTest, RequiresAtLeastOnePane) {
+  EXPECT_DEATH(PaneBuffer(2, 0), "max_panes");
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> bits(v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    std::memcpy(&bits[i], &v[i], sizeof(double));
+  }
+  return bits;
+}
+
+std::vector<double> Concatenated(const SplitSpan& view) {
+  std::vector<double> out(view.first, view.first + view.first_size);
+  out.insert(out.end(), view.second, view.second + view.second_size);
+  return out;
+}
+
+// The ring's two runs, read in order, are the retained means oldest
+// first: the last `capacity` means the sink saw (or that were
+// restored), bit for bit, at every fill level and across wraps.
+void ExpectViewHoldsNewest(const PaneBuffer& buffer,
+                           const std::vector<double>& history,
+                           size_t capacity, const char* what) {
+  const size_t kept = std::min(history.size(), capacity);
+  const std::vector<double> expected(history.end() - kept, history.end());
+  const SplitSpan view = buffer.Means();
+  ASSERT_EQ(view.size(), kept) << what;
+  EXPECT_EQ(Bits(Concatenated(view)), Bits(expected)) << what;
+  EXPECT_EQ(Bits(Concatenated(view)), Bits(buffer.PaneMeans())) << what;
+}
+
+TEST(PaneBufferTest, RingViewMatchesPaneMeansAcrossWrap) {
+  constexpr size_t kCapacity = 5;
+  constexpr size_t kPaneSize = 3;
+  Pcg32 rng(21);
+  const std::vector<double> x =
+      UniformVector(&rng, 3 * kCapacity * kPaneSize + 2, -1, 1);
+
+  // Arrival clock, one point at a time.
+  {
+    PaneBuffer buffer(kPaneSize, kCapacity);
+    std::vector<double> sunk;
+    buffer.set_pane_sink(&CollectMean, &sunk);
+    for (double v : x) {
+      buffer.Push(v);
+      ExpectViewHoldsNewest(buffer, sunk, kCapacity, "arrival");
+    }
+    ASSERT_EQ(sunk.size(), 3 * kCapacity);
+  }
+  // Time grid: kPaneSize ticks per bucket, one Append per point.
+  {
+    PaneBuffer buffer(kPaneSize, kCapacity, /*epoch=*/0,
+                      /*width_ticks=*/static_cast<int64_t>(kPaneSize));
+    std::vector<double> sunk;
+    buffer.set_pane_sink(&CollectMean, &sunk);
+    for (size_t i = 0; i < x.size(); ++i) {
+      const int64_t ts = static_cast<int64_t>(i);
+      buffer.Append(&x[i], &ts, 1);
+      ExpectViewHoldsNewest(buffer, sunk, kCapacity, "time grid");
+    }
+    ASSERT_EQ(sunk.size(), 3 * kCapacity);
+  }
+  // Restored means are kept bit for bit, signed zero and NaN included.
+  {
+    PaneBuffer buffer(kPaneSize, kCapacity);
+    std::vector<double> restored;
+    for (size_t i = 0; i < 3 * kCapacity; ++i) {
+      const double mean = i == 4   ? -0.0
+                          : i == 9 ? std::numeric_limits<double>::quiet_NaN()
+                                   : x[i] / 3.0;
+      buffer.RestoreCompleted(mean);
+      restored.push_back(mean);
+      ExpectViewHoldsNewest(buffer, restored, kCapacity, "restore");
+    }
+    EXPECT_EQ(buffer.points_consumed(), 3 * kCapacity * kPaneSize);
+  }
 }
 
 // --- Preaggregation --------------------------------------------------------------
