@@ -181,8 +181,31 @@ std::vector<std::vector<double>> TaxiFleet(size_t series) {
   return payloads;
 }
 
+/// Demo mode: collectors connect, then wait until the server has
+/// accepted all of them before anyone sends. A timed collector that
+/// connected only after the others' records had been released (the
+/// server releases on the slowest open connection's timestamps) would
+/// lose its older records as late.
+struct StartGate {
+  std::atomic<size_t> arrived{0};    // collectors done connecting
+  std::atomic<size_t> connected{0};  // of those, connected
+  std::atomic<bool> open{false};
+
+  /// Reports one collector's connect attempt; a connected collector
+  /// then waits for the gate to open.
+  void Arrive(bool ok) {
+    if (ok) {
+      connected.fetch_add(1);
+    }
+    arrived.fetch_add(1);
+    while (ok && !open.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
 int RunClient(const Args& args, size_t client_index = 0,
-              size_t client_count = 1) {
+              size_t client_count = 1, StartGate* gate = nullptr) {
   // The collector's own name table: names travel on the wire and the
   // server interns them into the engine's catalog — no id coordination
   // between the two processes.
@@ -195,6 +218,9 @@ int RunClient(const Args& args, size_t client_index = 0,
     payloads.push_back(fleet[i]);
   }
   if (names.empty()) {
+    if (gate != nullptr) {
+      gate->Arrive(false);
+    }
     return 0;  // more collectors than series
   }
   // This collector's clock skew: collector 0 is on time, each later
@@ -220,6 +246,9 @@ int RunClient(const Args& args, size_t client_index = 0,
           ? asap::net::WireClient::ConnectTcp("127.0.0.1", args.port,
                                               client_options)
           : asap::net::WireClient::ConnectUds(args.uds_path, client_options);
+  if (gate != nullptr) {
+    gate->Arrive(client.ok());
+  }
   if (!client.ok()) {
     std::fprintf(stderr, "connect failed: %s\n",
                  client.status().ToString().c_str());
@@ -308,8 +337,8 @@ int RunServer(const Args& args, asap::stream::ShardedEngine* engine,
       static_cast<unsigned long long>(stats.poisoned_connections));
   if (args.seq_horizon > 0) {
     std::printf(
-        "Sequencer: horizon %lld ticks; %llu records arrived past the "
-        "horizon and were dropped late.\n",
+        "Sequencer: horizon %lld ticks; %llu records arrived behind the "
+        "released floor and were dropped late.\n",
         static_cast<long long>(args.seq_horizon),
         static_cast<unsigned long long>(report.late));
   }
@@ -546,13 +575,26 @@ int RunDemo(const Args& args) {
   asap::net::WireServer server = MakeServer(args, &engine);
   Args client_args = args;
   client_args.port = server.tcp_port();
+  server.Start();
+  StartGate gate;
   std::vector<std::thread> collectors;
   collectors.reserve(args.clients);
   for (size_t c = 0; c < args.clients; ++c) {
-    collectors.emplace_back([client_args, c, count = args.clients] {
-      RunClient(client_args, c, count);
+    collectors.emplace_back([client_args, c, count = args.clients, &gate] {
+      RunClient(client_args, c, count, &gate);
     });
   }
+  // Open the gate once every collector that connected is accepted
+  // (bounded, so a stuck accept cannot hang the demo).
+  while (gate.arrived.load() < args.clients) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 0; i < 5000 && server.active_connections() <
+                                  gate.connected.load();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.open.store(true);
   const int rc = RunServer(args, &engine, std::move(server));
   for (std::thread& t : collectors) {
     t.join();

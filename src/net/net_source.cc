@@ -25,6 +25,11 @@ size_t NetMultiSource::NextBatch(size_t max_records,
     const size_t n = server_->PollOnce(options_.poll_timeout_ms, max_records,
                                        out);
     if (n > 0) {
+      const int64_t mark = server_->low_mark();
+      if (mark > last_mark_) {
+        out->push_back(stream::Record{stream::kLowMarkId, 0.0, mark});
+        last_mark_ = mark;
+      }
       return n;
     }
     if (options_.exit_when_drained && server_->ever_accepted() &&

@@ -9,6 +9,14 @@
 // records in wire order, so each connection's per-series record order
 // is preserved end-to-end — the property determinism parity rests on.
 //
+// Low marks: whenever the server's low mark (WireServer::low_mark)
+// has advanced, NextBatch appends the in-band control record
+// {stream::kLowMarkId, 0.0, mark} after the batch's data records, per
+// the MultiSource contract; the return value still counts data
+// records only. Timed collectors thereby let the engine's sequencers
+// release without waiting out the horizon; untimed ones produce no
+// mark and cost one comparison per batch.
+//
 // Naming: the records this source emits carry ids from the catalog
 // the WireServer was created against (normally the engine's own, via
 // ShardedEngine::catalog()) — build the server against the engine's
@@ -59,7 +67,8 @@ class NetMultiSource : public stream::MultiSource {
 
   /// Blocks (in poll_timeout_ms turns) until records arrive, Stop()
   /// is called, the drain condition holds, or idle_timeout_ms of
-  /// continuous idleness elapses; 0 = exhausted.
+  /// continuous idleness elapses; 0 = exhausted. A mark that advances
+  /// rides with the next batch of data records.
   size_t NextBatch(size_t max_records, stream::RecordBatch* out) override;
 
   /// Unbounded: a socket cannot know its total in advance.
@@ -81,6 +90,8 @@ class NetMultiSource : public stream::MultiSource {
  private:
   WireServer* server_;
   NetMultiSourceOptions options_;
+  /// The last low mark appended to a batch.
+  int64_t last_mark_ = stream::kNoLowMark;
   std::atomic<bool> stop_{false};
 };
 

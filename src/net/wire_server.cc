@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,6 +45,9 @@ constexpr size_t kQueueBatches = 32;
 // recv() size per ready connection per read step.
 constexpr size_t kReadChunkBytes = 64 * 1024;
 
+// A loop mark over no open connection: no constraint on the minimum.
+constexpr int64_t kNoConstraint = std::numeric_limits<int64_t>::max();
+
 }  // namespace
 
 struct WireServer::Core {
@@ -61,6 +65,35 @@ struct WireServer::Core {
     /// next fold adds only the delta. Lets stats() read atomics only —
     /// never a decoder a loop thread is concurrently mutating.
     DecoderStats folded;
+    /// Newest wire timestamp decoded here (kNoLowMark until a Feed
+    /// yields only wire-timed records). A timed connection promises
+    /// non-decreasing timestamps, so nothing older follows it: this is
+    /// the connection's low mark.
+    int64_t mark = stream::kNoLowMark;
+    /// The stream ended this turn: it sends nothing more, so it no
+    /// longer holds the loop's mark back.
+    bool closing = false;
+  };
+
+  /// A loop's low mark as of one flushed batch: the minimum mark over
+  /// its open connections (kNoLowMark if one has none yet,
+  /// kNoConstraint if none is open), and how many connections the loop
+  /// had adopted in its lifetime when it took it.
+  struct LoopMark {
+    int64_t mark = kNoConstraint;
+    uint64_t adopted = 0;
+    bool operator==(const LoopMark& o) const {
+      return mark == o.mark && adopted == o.adopted;
+    }
+  };
+
+  /// One element of the output queue: a flushed batch and the mark of
+  /// the loop that flushed it (loop == kNoLoop for a shutdown stray).
+  static constexpr size_t kNoLoop = std::numeric_limits<size_t>::max();
+  struct Published {
+    std::unique_ptr<stream::RecordBatch> batch;
+    size_t loop = kNoLoop;
+    LoopMark mark;
   };
 
   // ---- per-loop instruments: asap_wire_*{loop="i"} -----------------
@@ -165,6 +198,19 @@ struct WireServer::Core {
     /// observes active == 0 with their records still loop-local.
     std::vector<uint64_t> dead;
     LoopCounters counters;
+    /// Connections ever handed to AdoptConnection (loop thread only).
+    uint64_t adopted = 0;
+    /// Open, not closing connections with no mark yet (loop thread
+    /// only): while any exists the loop's mark is none, found in O(1).
+    size_t unmarked = 0;
+    /// The mark this loop last published (loop thread only).
+    LoopMark published;
+    /// Guarded by queue_mu: the mark of this loop's newest flush, its
+    /// batches queued or partly handed out, and the mark that holds for
+    /// what PollOnce has fully handed out (`latest` once `queued` is 0).
+    LoopMark latest;
+    size_t queued = 0;
+    LoopMark delivered;
 
     /// fd-handoff mailbox: loop 0 pushes accepted sockets here, this
     /// loop adopts them at the top of its next turn (ev.Wake()-driven).
@@ -211,7 +257,7 @@ struct WireServer::Core {
   std::mutex queue_mu;
   std::condition_variable queue_not_empty;  // consumer side
   std::condition_variable queue_not_full;   // producer side
-  std::deque<std::unique_ptr<stream::RecordBatch>> queue;
+  std::deque<Published> queue;
   std::vector<std::unique_ptr<stream::RecordBatch>> free_batches;
   size_t queued_records = 0;
   bool consumer_wake = false;
@@ -221,6 +267,10 @@ struct WireServer::Core {
   /// pending_records() stays callable from anywhere).
   std::unique_ptr<stream::RecordBatch> delivering;
   size_t delivering_pos = 0;
+  size_t delivering_loop = kNoLoop;
+  LoopMark delivering_mark;
+  /// The server's low mark as of the last PollOnce (consumer thread).
+  int64_t low_mark = stream::kNoLowMark;
 
   // ------------------------------------------------------------------
 
@@ -287,15 +337,47 @@ struct WireServer::Core {
     conn->folded = conn->decoder.stats();
   }
 
-  /// Hands the loop's batch to the output queue (FIFO — the ordering
-  /// determinism parity rests on) and replaces it with a recycled one.
-  /// Blocks on a full queue: that stalls this loop's reads, which is
-  /// TCP backpressure; during shutdown the cap is waived so the final
+  /// The loop's mark now: every record its connections decoded so far
+  /// is in the batch being flushed or an earlier one, and none they
+  /// decode later is older than this.
+  static LoopMark CurrentMark(const Loop* l) {
+    LoopMark m;
+    m.adopted = l->adopted;
+    if (l->unmarked > 0) {
+      m.mark = stream::kNoLowMark;
+      return m;
+    }
+    for (const auto& entry : l->conns) {
+      if (!entry.second->closing) {
+        m.mark = std::min(m.mark, entry.second->mark);
+      }
+    }
+    return m;
+  }
+
+  /// Hands the loop's batch, stamped with the loop's mark, to the
+  /// output queue (FIFO — the ordering determinism parity rests on)
+  /// and replaces it with a recycled one. A turn with no records but a
+  /// moved mark (a connection was adopted or closed) only records the
+  /// mark: it never takes a queue slot, so accepting connections can
+  /// never block on a consumer that has not started polling. Blocks
+  /// on a full queue: that stalls this loop's reads, which is TCP
+  /// backpressure; during shutdown the cap is waived so the final
   /// drain can never deadlock against a sated consumer.
   void FlushBatch(Loop* l) {
+    const LoopMark mark = CurrentMark(l);
     if (l->batch->empty()) {
+      if (!(mark == l->published)) {
+        l->published = mark;
+        std::lock_guard<std::mutex> lk(queue_mu);
+        l->latest = mark;
+        if (l->queued == 0) {
+          l->delivered = mark;
+        }
+      }
       return;
     }
+    l->published = mark;
     const size_t n = l->batch->size();
     l->counters.batches->Increment();
     l->counters.batch_records->Add(n);
@@ -305,7 +387,9 @@ struct WireServer::Core {
       return queue.size() < kQueueBatches ||
              stopping.load(std::memory_order_acquire);
     });
-    queue.push_back(std::move(l->batch));
+    queue.push_back(Published{std::move(l->batch), l->id, mark});
+    l->latest = mark;
+    l->queued += 1;
     queued_records += n;
     l->batch = TakeFreeBatchLocked();
     queue_not_empty.notify_one();
@@ -313,6 +397,7 @@ struct WireServer::Core {
 
   /// Registers an accepted (slot-reserved) socket with this loop.
   void AdoptConnection(Loop* l, Socket sock, bool via_handoff) {
+    l->adopted += 1;  // counted even if rejected below: it was accepted
     auto conn = std::make_unique<Connection>(std::move(sock), catalog,
                                              options);
     const uint64_t tag = l->next_tag++;
@@ -321,6 +406,7 @@ struct WireServer::Core {
       active_gauge->Set(static_cast<double>(active.fetch_sub(1) - 1));
       return;
     }
+    l->unmarked += 1;
     l->counters.accepted->Increment();
     if (via_handoff) {
       l->counters.handoffs->Increment();
@@ -404,10 +490,23 @@ struct WireServer::Core {
       const RecvStatus rs = RecvSome(conn->sock.fd(), l->read_buffer.data(),
                                      l->read_buffer.size(), &n);
       if (rs == RecvStatus::kData) {
+        const DecoderStats& ds = conn->decoder.stats();
+        const uint64_t timed_before = ds.timed_records;
+        const uint64_t stamped_before = ds.stamped_records;
         if (!conn->decoder.Feed(l->read_buffer.data(), n, l->batch.get())) {
           poisoned->Increment();
           dead = true;
           break;
+        }
+        // Once per Feed, not per record: when it decoded wire-timed
+        // records only, the batch's last record is the newest one.
+        // A Feed with any server-stamped record leaves the mark alone.
+        if (ds.timed_records != timed_before &&
+            ds.stamped_records == stamped_before) {
+          if (conn->mark == stream::kNoLowMark) {
+            l->unmarked -= 1;
+          }
+          conn->mark = l->batch->back().ts;
         }
         continue;
       }
@@ -427,6 +526,10 @@ struct WireServer::Core {
     }
     FoldDelta(conn, &l->counters);
     if (dead) {
+      if (conn->mark == stream::kNoLowMark) {
+        l->unmarked -= 1;
+      }
+      conn->closing = true;
       l->dead.push_back(tag);
     }
   }
@@ -572,8 +675,36 @@ struct WireServer::Core {
     }
     std::lock_guard<std::mutex> lk(queue_mu);
     queued_records += batch.size();
-    queue.push_back(
-        std::make_unique<stream::RecordBatch>(std::move(batch)));
+    queue.push_back(Published{
+        std::make_unique<stream::RecordBatch>(std::move(batch)), kNoLoop, {}});
+  }
+
+  /// Records that PollOnce has handed out the whole of a batch: its
+  /// loop's mark now holds for everything that loop delivers later,
+  /// and the loop's newest mark does once none of its batches is left.
+  void DeliveredLocked() {
+    if (delivering_loop != kNoLoop) {
+      Loop* l = loops[delivering_loop].get();
+      l->queued -= 1;
+      l->delivered = l->queued == 0 ? l->latest : delivering_mark;
+    }
+  }
+
+  /// The server mark: the minimum over the loops' delivered marks,
+  /// none (kNoLowMark) while some accepted connection is not yet
+  /// covered by one — the window between loop 0's accept and the
+  /// owning loop's next flush — or while no connection is open.
+  void UpdateLowMarkLocked() {
+    uint64_t adopted = 0;
+    int64_t mark = kNoConstraint;
+    for (const auto& l : loops) {
+      adopted += l->delivered.adopted;
+      mark = std::min(mark, l->delivered.mark);
+    }
+    low_mark = adopted < accepted.load(std::memory_order_acquire) ||
+                       mark == kNoConstraint
+                   ? stream::kNoLowMark
+                   : mark;
   }
 
   void Stop() {
@@ -790,7 +921,10 @@ size_t WireServer::PollOnce(int timeout_ms, size_t max_records,
       if (c->queue.empty()) {
         break;
       }
-      c->delivering = std::move(c->queue.front());
+      Core::Published& front = c->queue.front();
+      c->delivering = std::move(front.batch);
+      c->delivering_loop = front.loop;
+      c->delivering_mark = front.mark;
       c->queue.pop_front();
       c->queued_records -= c->delivering->size();
       c->delivering_pos = 0;
@@ -802,6 +936,7 @@ size_t WireServer::PollOnce(int timeout_ms, size_t max_records,
       if (out->empty() && c->delivering->size() <= max_records) {
         out->swap(*c->delivering);
         delivered = out->size();
+        c->DeliveredLocked();
         continue;
       }
     }
@@ -814,8 +949,17 @@ size_t WireServer::PollOnce(int timeout_ms, size_t max_records,
             static_cast<ptrdiff_t>(c->delivering_pos + take));
     c->delivering_pos += take;
     delivered += take;
+    if (c->delivering_pos == c->delivering->size()) {
+      c->DeliveredLocked();
+    }
   }
+  c->UpdateLowMarkLocked();
   return delivered;
+}
+
+int64_t WireServer::low_mark() const {
+  // Written only by PollOnce, on this same consumer thread.
+  return core_->low_mark;
 }
 
 WireServerStats WireServer::stats() const {

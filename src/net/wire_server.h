@@ -24,6 +24,18 @@
 // records reach the engine in wire order no matter how many loops run,
 // which is the property determinism parity rests on.
 //
+// Low marks: a timed connection (0xA7 frames, three-token text lines)
+// promises non-decreasing timestamps, so its newest decoded timestamp
+// is a *low mark*: nothing older follows on it. Each loop stamps every
+// batch it flushes with the minimum over its open connections (none
+// while one of them has sent no timed record yet), and PollOnce turns
+// the marks of the batches it has fully handed out into the server's
+// low_mark(): the minimum over loops, none until every accepted
+// connection is covered. NetMultiSource carries it in-band to the
+// engine, whose sequencers release everything older at once instead
+// of waiting out their horizon. Server-stamped records never set a
+// mark, so untimed collectors leave release to the horizon.
+//
 // Malformed input is a per-connection affair: bad text lines are
 // counted and skipped; a corrupt binary frame drops (and counts) that
 // one connection. The server itself never dies on input.
@@ -157,8 +169,9 @@ struct WireServerStats {
 /// (collectors can connect immediately; the backlog holds them); the
 /// loop threads start at Start(), or lazily on the first PollOnce.
 ///
-/// Thread contract: PollOnce / Start / Stop / pending_records belong
-/// to one consumer thread (the engine's producer, via NetMultiSource).
+/// Thread contract: PollOnce / Start / Stop / pending_records /
+/// low_mark belong to one consumer thread (the engine's producer, via
+/// NetMultiSource).
 /// Wake(), stats(), active_connections(), ever_accepted() and
 /// tcp_port() are safe from any thread.
 class WireServer {
@@ -196,6 +209,15 @@ class WireServer {
   /// caller owns the shutdown policy.
   size_t PollOnce(int timeout_ms, size_t max_records,
                   stream::RecordBatch* out);
+
+  /// The server's low mark as of the last PollOnce: no record older
+  /// than it will be handed out later by any connection open now or
+  /// accepted so far. stream::kNoLowMark while a connection has not
+  /// sent a timed record yet, while a freshly accepted connection is
+  /// not covered by its loop's mark, or while none is open. A
+  /// collector that connects later with older timestamps is the one
+  /// exception the mark cannot see.
+  int64_t low_mark() const;
 
   /// Stops the loops and joins them. Shutdown drains: loop 0 accepts
   /// whatever the listener backlogs already hold, every loop reads each

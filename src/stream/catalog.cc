@@ -57,6 +57,9 @@ SeriesId SeriesCatalog::Intern(std::string_view name) {
   if (it != index_.end()) {
     return it->second;
   }
+  // Ids run densely from 0; the last one is the in-band low-mark
+  // control record's (stream/record.h) and is never handed out.
+  ASAP_CHECK_LT(names_.size(), static_cast<size_t>(kLowMarkId));
   const std::string_view stored = ArenaStore(name);
   const SeriesId id = static_cast<SeriesId>(names_.size());
   names_.push_back(stored);

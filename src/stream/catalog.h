@@ -60,7 +60,8 @@ class SeriesCatalog {
   /// Returns the id for `name`, assigning the next dense id on first
   /// sight. Aborts on an invalid name (callers on untrusted input —
   /// the wire decoder — validate first and treat invalid names as
-  /// malformed input instead of calling this).
+  /// malformed input instead of calling this), and before it would
+  /// hand out kLowMarkId.
   SeriesId Intern(std::string_view name);
 
   /// The interned name for `id`. The returned view points into the

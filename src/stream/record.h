@@ -8,6 +8,7 @@
 #define ASAP_STREAM_RECORD_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace asap {
@@ -41,6 +42,17 @@ struct Record {
 inline bool operator==(const Record& a, const Record& b) {
   return a.series_id == b.series_id && a.value == b.value && a.ts == b.ts;
 }
+
+/// Series id of the in-band *low-mark* control record a MultiSource
+/// may append after a batch's data records (see MultiSource::NextBatch):
+/// {kLowMarkId, 0.0, mark} promises that no record older than `mark`
+/// follows. The SeriesCatalog never hands this id out, so the control
+/// record cannot be mistaken for a series' point.
+inline constexpr SeriesId kLowMarkId = std::numeric_limits<SeriesId>::max();
+
+/// "No low mark": the value that releases nothing (no timestamp is
+/// older than it), used wherever a mark is optional.
+inline constexpr int64_t kNoLowMark = std::numeric_limits<int64_t>::min();
 
 /// A batch of tagged points, in ingestion order. Per-series order
 /// within and across batches is the series' stream order; records of

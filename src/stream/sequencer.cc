@@ -10,31 +10,35 @@ namespace stream {
 
 Sequencer::Sequencer(int64_t horizon_ticks)
     : horizon_(horizon_ticks),
-      watermark_(std::numeric_limits<int64_t>::min()) {
+      watermark_(std::numeric_limits<int64_t>::min()),
+      floor_(std::numeric_limits<int64_t>::min()) {
   ASAP_CHECK_GE(horizon_ticks, 1);
 }
 
-size_t Sequencer::Push(const Record* records, size_t n, RecordBatch* out) {
+int64_t Sequencer::HorizonFloor() const {
+  return watermark_ < std::numeric_limits<int64_t>::min() + horizon_
+             ? std::numeric_limits<int64_t>::min()
+             : watermark_ - horizon_;
+}
+
+size_t Sequencer::Push(const Record* records, size_t n, RecordBatch* out,
+                       int64_t low_mark) {
   ASAP_CHECK(records != nullptr || n == 0);
 
   // Walk the batch in arrival order, advancing the watermark per
-  // record: a record is late iff it is more than the horizon behind
-  // the newest timestamp seen AT ITS OWN ARRIVAL (earlier records of
-  // the same batch included). A record can only raise the watermark,
-  // so in-order input — however large the batch or the total span —
-  // is never late; only a record arriving after a sufficiently newer
-  // one drops. Stage the on-time records as one sorted run (or an
-  // extension of the newest run, when batches arrive already roughly
-  // ordered — the common case keeps the run count at 1).
+  // record: a record is late iff it is older than the floor already
+  // released or more than the horizon behind the newest timestamp
+  // seen AT ITS OWN ARRIVAL (earlier records of the same batch
+  // included). Without marks the released floor never exceeds the
+  // second bound, so in-order input — however large the batch or the
+  // total span — is never late. Stage the on-time records as one
+  // sorted run (or an extension of the newest run, when batches arrive
+  // already roughly ordered — the common case keeps the run count
+  // at 1).
   scratch_.clear();
   for (size_t i = 0; i < n; ++i) {
     watermark_ = std::max(watermark_, records[i].ts);
-    // watermark - horizon without wraparound near INT64_MIN.
-    const int64_t arrival_floor =
-        watermark_ < std::numeric_limits<int64_t>::min() + horizon_
-            ? std::numeric_limits<int64_t>::min()
-            : watermark_ - horizon_;
-    if (records[i].ts < arrival_floor) {
+    if (records[i].ts < std::max(floor_, HorizonFloor())) {
       late_dropped_ += 1;
       late_by_series_[records[i].series_id] += 1;
       continue;
@@ -42,10 +46,6 @@ size_t Sequencer::Push(const Record* records, size_t n, RecordBatch* out) {
     scratch_.push_back(Item{records[i], next_seq_++});
     records_in_ += 1;
   }
-  const int64_t floor =
-      watermark_ < std::numeric_limits<int64_t>::min() + horizon_
-          ? std::numeric_limits<int64_t>::min()
-          : watermark_ - horizon_;
   if (!scratch_.empty()) {
     std::sort(scratch_.begin(), scratch_.end(),
               [](const Item& a, const Item& b) {
@@ -64,7 +64,14 @@ size_t Sequencer::Push(const Record* records, size_t n, RecordBatch* out) {
     }
   }
 
-  return EmitUpTo(floor, out);
+  // The mark applies after this batch's records are staged: they were
+  // decoded before the mark was taken, so they are on time even when
+  // older than it. (kNoLowMark - 1 would wrap; it releases nothing.)
+  floor_ = std::max(floor_, HorizonFloor());
+  if (low_mark != kNoLowMark) {
+    floor_ = std::max(floor_, low_mark - 1);
+  }
+  return EmitUpTo(floor_, out);
 }
 
 size_t Sequencer::Flush(RecordBatch* out) {
@@ -111,6 +118,18 @@ size_t Sequencer::EmitUpTo(int64_t floor, RecordBatch* out) {
                                return r.head == r.items.size();
                              }),
               runs_.end());
+  // A run that keeps being extended (steady in-order traffic) is never
+  // fully consumed: drop its consumed prefix once that is more than
+  // half the run. Each move of a pending item is paid for by a larger
+  // number of consumed ones, so this is amortised O(1) per record and
+  // bounds a run to about twice what it still holds.
+  for (Run& run : runs_) {
+    if (run.head > run.items.size() / 2) {
+      run.items.erase(run.items.begin(),
+                      run.items.begin() + static_cast<ptrdiff_t>(run.head));
+      run.head = 0;
+    }
+  }
   return appended;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -139,10 +140,17 @@ struct ShardedEngine::Shard {
          "Records the shard sequencer released in timestamp order", labels});
     seq_late_total = metrics->GetCounter(
         {"asap_seq_late_total",
-         "Records dropped as late (older than watermark - horizon)", labels});
+         "Records dropped as late (behind the released floor or more than "
+         "the horizon behind the watermark)",
+         labels});
     seq_buffered = metrics->GetGauge(
         {"asap_seq_buffered",
          "Records staged in the shard sequencer's reordering window",
+         labels});
+    seq_floor_lag = metrics->GetGauge(
+        {"asap_seq_floor_lag_ticks",
+         "Watermark minus the sequencer's released floor (the horizon "
+         "while it governs release, the collector lag while low marks do)",
          labels});
   }
 
@@ -196,12 +204,21 @@ struct ShardedEngine::Shard {
   std::shared_ptr<telemetry::Counter> seq_emitted_total;
   std::shared_ptr<telemetry::Counter> seq_late_total;
   std::shared_ptr<telemetry::Gauge> seq_buffered;
+  std::shared_ptr<telemetry::Gauge> seq_floor_lag;
   mutable std::mutex registry_mu;
+
+  /// One queue element: a routed batch and the source's low mark that
+  /// followed it (kNoLowMark if none), so the mark reaches the shard's
+  /// sequencer in FIFO order, after every record it covers.
+  struct Element {
+    RecordBatch records;
+    int64_t low_mark = kNoLowMark;
+  };
 
   std::mutex mu;
   std::condition_variable not_empty;
   std::condition_variable not_full;
-  std::deque<RecordBatch> queue;
+  std::deque<Element> queue;
   bool closed = false;
   size_t peak_queue_depth = 0;  // producer-side, under mu
   uint64_t dropped = 0;         // producer-side, under mu
@@ -223,9 +240,12 @@ struct ShardedEngine::Shard {
   /// of records): a consumer stalled so long that even collapsed
   /// records pile past the bound degrades to dropping the overflow
   /// (counted), keeping queued memory finite. Returns the records
-  /// dropped (0, batch.size(), or the collapsed overflow).
-  size_t Enqueue(RecordBatch batch, size_t capacity, OverflowPolicy policy,
-                 size_t pane_size, size_t nominal_batch_size) {
+  /// dropped (0, batch.size(), or the collapsed overflow). A dropped
+  /// element's low mark is lost with it (the next one carries a newer
+  /// mark); a conflated one's raises the newest queued element's.
+  size_t Enqueue(RecordBatch batch, int64_t low_mark, size_t capacity,
+                 OverflowPolicy policy, size_t pane_size,
+                 size_t nominal_batch_size) {
     telemetry::ScopedTimer push_timer(push_nanos.get());
     std::unique_lock<std::mutex> lock(mu);
     if (policy == OverflowPolicy::kDropNewest) {
@@ -244,7 +264,8 @@ struct ShardedEngine::Shard {
                                                      pane_width);
         conflated += before - collapsed.size();
         conflated_total->Add(before - collapsed.size());
-        RecordBatch& back = queue.back();
+        RecordBatch& back = queue.back().records;
+        queue.back().low_mark = std::max(queue.back().low_mark, low_mark);
         const size_t room_cap = kConflateBackstopBatches * nominal_batch_size;
         size_t keep = collapsed.size();
         if (back.size() >= room_cap) {
@@ -264,7 +285,7 @@ struct ShardedEngine::Shard {
     } else {
       not_full.wait(lock, [&] { return queue.size() < capacity; });
     }
-    queue.push_back(std::move(batch));
+    queue.push_back(Element{std::move(batch), low_mark});
     peak_queue_depth = std::max(peak_queue_depth, queue.size());
     queue_depth->Set(static_cast<double>(queue.size()));
     not_empty.notify_one();
@@ -278,7 +299,7 @@ struct ShardedEngine::Shard {
   }
 
   /// Returns false when the queue is closed and drained.
-  bool Dequeue(RecordBatch* out) {
+  bool Dequeue(Element* out) {
     std::unique_lock<std::mutex> lock(mu);
     not_empty.wait(lock, [&] { return closed || !queue.empty(); });
     if (queue.empty()) {
@@ -384,14 +405,16 @@ struct ShardedEngine::Shard {
   /// consumed and the run-report identity
   /// pulled == consumed + dropped + conflated + late holds.
   void WorkerLoop() {
-    RecordBatch batch;
+    Element element;
     RecordBatch ordered;
-    while (Dequeue(&batch)) {
+    while (Dequeue(&element)) {
       Stopwatch busy;
+      const RecordBatch& batch = element.records;
       const RecordBatch* work = &batch;
       if (sequencer != nullptr) {
         ordered.clear();
-        sequencer->Push(batch.data(), batch.size(), &ordered);
+        sequencer->Push(batch.data(), batch.size(), &ordered,
+                        element.low_mark);
         FoldSequencerCounters(ordered.size());
         work = &ordered;
       }
@@ -427,6 +450,12 @@ struct ShardedEngine::Shard {
     seq_late_total->Add(late_now - late_folded);
     late_folded = late_now;
     seq_buffered->Set(static_cast<double>(sequencer->buffered()));
+    const int64_t floor = sequencer->released_floor();
+    seq_floor_lag->Set(
+        floor == std::numeric_limits<int64_t>::min()
+            ? 0.0
+            : static_cast<double>(sequencer->watermark()) -
+                  static_cast<double>(floor));
   }
 
   /// Store id for an engine series id, registering by name on first
@@ -615,10 +644,12 @@ FleetReport ShardedEngine::Run(MultiSource* source, double budget_seconds) {
   // Producer: pull tagged batches, partition by shard, enqueue. An
   // enqueue donates its buffer to the queue and replaces it with a
   // fresh pre-reserved one, so the partition path never re-grows a
-  // split vector mid-pump.
+  // split vector mid-pump. The pull buffer has room for the source's
+  // optional low-mark control record after a full batch.
+  const bool sequenced = options_.sequencer_horizon_ticks > 0;
   FleetReport report;
   RecordBatch pull;
-  pull.reserve(options_.batch_size);
+  pull.reserve(options_.batch_size + 1);
   std::vector<RecordBatch> split(num_shards);
   for (RecordBatch& buffer : split) {
     buffer.reserve(options_.batch_size);
@@ -633,12 +664,20 @@ FleetReport ShardedEngine::Run(MultiSource* source, double budget_seconds) {
       break;
     }
     report.points += n;
+    // Strip the in-band low mark (MultiSource contract) before routing:
+    // it never reaches a registry, a store or a count. Only a
+    // sequencer has a use for it.
+    int64_t low_mark = kNoLowMark;
+    if (pull.size() == n + 1 && pull.back().series_id == kLowMarkId) {
+      low_mark = sequenced ? pull.back().ts : kNoLowMark;
+      pull.pop_back();
+    }
     if (num_shards == 1) {
       report.dropped += shards_[0]->Enqueue(
-          std::move(pull), options_.queue_capacity, options_.overflow_policy,
-          pane_size_, options_.batch_size);
+          std::move(pull), low_mark, options_.queue_capacity,
+          options_.overflow_policy, pane_size_, options_.batch_size);
       pull = RecordBatch{};
-      pull.reserve(options_.batch_size);
+      pull.reserve(options_.batch_size + 1);
       continue;
     }
     for (const Record& r : pull) {
@@ -646,10 +685,17 @@ FleetReport ShardedEngine::Run(MultiSource* source, double budget_seconds) {
     }
     for (size_t i = 0; i < num_shards; ++i) {
       if (split[i].empty()) {
+        // A shard with no records in this pull still needs the mark:
+        // it may release what it already holds.
+        if (low_mark != kNoLowMark) {
+          report.dropped += shards_[i]->Enqueue(
+              RecordBatch{}, low_mark, options_.queue_capacity,
+              options_.overflow_policy, pane_size_, options_.batch_size);
+        }
         continue;
       }
       report.dropped += shards_[i]->Enqueue(
-          std::move(split[i]), options_.queue_capacity,
+          std::move(split[i]), low_mark, options_.queue_capacity,
           options_.overflow_policy, pane_size_, options_.batch_size);
       split[i] = RecordBatch{};
       split[i].reserve(options_.batch_size);

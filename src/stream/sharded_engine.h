@@ -16,7 +16,10 @@
 //                                                       ...         ...
 //
 // Bounded queues give natural backpressure: a producer outrunning the
-// shards blocks instead of buffering without limit. Live dashboards
+// shards blocks instead of buffering without limit. A source's in-band
+// low mark (MultiSource::NextBatch) is stripped by the producer and
+// rides each shard's queue behind that shard's records, so every
+// shard sequencer sees the mark after the records it covers. Live dashboards
 // read per-series frames through StreamingAsap's lock-free snapshots
 // (ShardedEngine::Snapshot) while the run is in flight.
 
@@ -93,12 +96,16 @@ struct ShardedEngineOptions {
   /// bypasses sequencing: batches reach the operators in arrival
   /// order, bitwise the pre-sequencer path. > 0 stages each shard's
   /// records and releases them in timestamp order once they age past
-  /// the horizon (records more than horizon ticks older than the
-  /// newest timestamp seen are dropped as *late*, surfacing in
-  /// ShardReport/FleetReport::late and asap_seq_late_total). Use with
-  /// timed pane mode (StreamingOptions::pane_width_ticks > 0): a
-  /// horizon of a few pane widths absorbs collector clock skew that
-  /// would otherwise smear points across pane boundaries.
+  /// the horizon — or sooner, once the source's in-band low mark
+  /// (MultiSource::NextBatch) passes them, which timed wire collectors
+  /// provide. Records older than what was already released, or more
+  /// than horizon ticks older than the newest timestamp seen, are
+  /// dropped as *late*, surfacing in ShardReport/FleetReport::late and
+  /// asap_seq_late_total. Use with timed pane mode
+  /// (StreamingOptions::pane_width_ticks > 0): a horizon of a few pane
+  /// widths absorbs collector clock skew that would otherwise smear
+  /// points across pane boundaries, and bounds how long a record waits
+  /// on a silent collector.
   int64_t sequencer_horizon_ticks = 0;
 
   /// Registry the engine's asap_shard_* instruments register in.
@@ -144,8 +151,8 @@ struct ShardReport {
   /// operator individually.
   uint64_t conflated = 0;
   /// Records the sequencer dropped as late (timestamp more than the
-  /// reordering horizon behind the newest seen; always 0 when
-  /// sequencer_horizon_ticks == 0).
+  /// reordering horizon behind the newest seen, or behind the floor a
+  /// low mark released; always 0 when sequencer_horizon_ticks == 0).
   uint64_t late = 0;
   /// Wall time the worker spent consuming batches (vs waiting).
   double busy_seconds = 0.0;

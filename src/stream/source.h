@@ -71,8 +71,20 @@ class MultiSource {
  public:
   virtual ~MultiSource() = default;
 
-  /// Appends up to `max_records` records to *out; returns the number
-  /// appended (0 = exhausted).
+  /// Appends up to `max_records` data records to *out; returns the
+  /// number of data records appended (0 = exhausted).
+  ///
+  /// Low marks: after its data records, a source that knows a *low
+  /// mark* — no record older than it will follow — may append one
+  /// control record {kLowMarkId, 0.0, mark}, and only when the mark
+  /// has advanced since the last one it appended. The control record
+  /// is not counted in the return value (so *out may grow by one more
+  /// than it); the engine strips it before routing and hands the mark
+  /// to its shard sequencers, which then release everything older
+  /// without waiting out the horizon. The mark travels inside the
+  /// batch so that wrappers forwarding only NextBatch carry it too.
+  /// Sources that know no mark (every in-process source here) never
+  /// append one; NetMultiSource does for timed wire connections.
   virtual size_t NextBatch(size_t max_records, RecordBatch* out) = 0;
 
   /// Total records this source will ever produce; 0 means unbounded

@@ -100,21 +100,5 @@ void PaneBuffer::RestoreCompleted(double mean) {
   Retain(mean);
 }
 
-std::vector<double> PaneBuffer::PaneMeans() const {
-  const SplitSpan view = Means();
-  std::vector<double> means;
-  means.reserve(view.size());
-  means.insert(means.end(), view.first, view.first + view.first_size);
-  means.insert(means.end(), view.second, view.second + view.second_size);
-  return means;
-}
-
-void PaneBuffer::Reset() {
-  ring_.clear();
-  head_ = 0;
-  current_ = Pane{};
-  points_consumed_ = 0;
-}
-
 }  // namespace window
 }  // namespace asap

@@ -150,15 +150,12 @@ class PaneBuffer {
   void RestoreCompleted(double mean);
 
   /// Means of all retained (complete) panes, oldest first, as the
-  /// ring's two contiguous runs: no copy, valid until the next commit,
-  /// restore or Reset. The refresh path reads panes through this.
+  /// ring's two contiguous runs: no copy, valid until the next commit
+  /// or restore. The refresh path reads panes through this.
   SplitSpan Means() const {
     return SplitSpan{ring_.data() + head_, ring_.size() - head_,
                      ring_.data(), head_};
   }
-
-  /// Means() copied into one vector.
-  std::vector<double> PaneMeans() const;
 
   /// Number of retained complete panes.
   size_t size() const { return ring_.size(); }
@@ -167,8 +164,6 @@ class PaneBuffer {
 
   /// Total raw points consumed.
   size_t points_consumed() const { return points_consumed_; }
-
-  void Reset();
 
  private:
   /// Adds a run of n points to the in-progress pane in one tight

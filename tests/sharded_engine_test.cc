@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -657,6 +658,101 @@ TEST(ShardedEngineTimedTest, LateRecordsAreCountedExactly) {
   EXPECT_EQ(report.shards[0].points + report.late, report.points);
   ASSERT_EQ(report.per_series.size(), 1u);
   EXPECT_EQ(report.per_series[0].late, 50u);
+}
+
+/// BatchSource plus the in-band low mark of an in-order stream: after
+/// each batch, {kLowMarkId, 0, newest ts} (only when it advanced).
+class MarkedSource : public MultiSource {
+ public:
+  explicit MarkedSource(RecordBatch records) : inner_(std::move(records)) {}
+
+  size_t NextBatch(size_t max_records, RecordBatch* out) override {
+    const size_t n = inner_.NextBatch(max_records, out);
+    if (n > 0 && out->back().ts > last_mark_) {
+      last_mark_ = out->back().ts;
+      out->push_back(Record{kLowMarkId, 0.0, last_mark_});
+      ++marks_;
+    }
+    return n;
+  }
+  size_t TotalPoints() const override { return inner_.TotalPoints(); }
+  size_t marks() const { return marks_; }
+
+ private:
+  BatchSource inner_;
+  int64_t last_mark_ = kNoLowMark;
+  size_t marks_ = 0;
+};
+
+TEST(ShardedEngineTimedTest, LowMarkIsStrippedBeforeRouting) {
+  // The control record must never become a series, a point or a count
+  // — with or without a sequencer, whatever the shard count (at 4
+  // shards, 3 series leave some splits empty: mark-only elements) and
+  // under a lossy policy — and with a sequencer it must not change a
+  // frame: in-order input emits the same sequence, only sooner.
+  StreamingOptions timed_options = FleetOptions();
+  timed_options.pane_epoch = 0;
+  timed_options.pane_width_ticks = 10;
+  const std::vector<std::string> names = {"mark/a", "mark/b", "mark/c"};
+  std::vector<std::vector<double>> series;
+  for (size_t i = 0; i < names.size(); ++i) {
+    series.push_back(FleetSeries(i, 3000));
+  }
+  SeriesCatalog sender;
+  const RecordBatch records =
+      InterleaveToRecordsTimed(&sender, names, series, 0, 1);
+
+  for (int64_t horizon : {int64_t{0}, int64_t{1} << 40}) {
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      for (OverflowPolicy policy :
+           {OverflowPolicy::kBlock, OverflowPolicy::kConflate}) {
+        SCOPED_TRACE("horizon=" + std::to_string(horizon) + " shards=" +
+                     std::to_string(shards) + " policy=" +
+                     std::to_string(static_cast<int>(policy)));
+        auto run = [&](MultiSource* source) {
+          ShardedEngineOptions engine_options;
+          engine_options.shards = shards;
+          engine_options.batch_size = 128;
+          engine_options.overflow_policy = policy;
+          engine_options.queue_capacity =
+              policy == OverflowPolicy::kBlock ? 16 : 1;
+          engine_options.sequencer_horizon_ticks = horizon;
+          auto engine = std::make_unique<ShardedEngine>(
+              ShardedEngine::Create(timed_options, engine_options)
+                  .ValueOrDie());
+          for (const std::string& name : names) {
+            engine->catalog()->Intern(name);
+          }
+          const FleetReport report = engine->RunToCompletion(source);
+          uint64_t consumed = 0;
+          for (const ShardReport& sr : report.shards) {
+            consumed += sr.points;
+          }
+          EXPECT_EQ(report.points, records.size());
+          EXPECT_EQ(consumed + report.dropped + report.conflated + report.late,
+                    report.points);
+          EXPECT_EQ(report.late, 0u);
+          EXPECT_EQ(report.series, names.size());
+          EXPECT_EQ(engine->catalog()->size(), names.size());
+          return engine;
+        };
+        MarkedSource marked(records);
+        const auto with_marks = run(&marked);
+        EXPECT_GT(marked.marks(), 1u);
+        if (policy != OverflowPolicy::kBlock) {
+          continue;  // lossy: frames depend on shard timing
+        }
+        BatchSource plain(records);
+        const auto without_marks = run(&plain);
+        for (const std::string& name : names) {
+          ASSERT_NE(with_marks->Snapshot(name), nullptr) << name;
+          EXPECT_EQ(with_marks->Snapshot(name)->series,
+                    without_marks->Snapshot(name)->series)
+              << name;
+        }
+      }
+    }
+  }
 }
 
 TEST(ShardedEngineTimedTest, ConflateAccountingClosesUnderReorderedInput) {

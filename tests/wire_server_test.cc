@@ -4,15 +4,20 @@
 // ingestion (both encodings — including 0xA6 name registrations — over
 // TCP and UDS), FleetView queries must rank identically in both
 // paths, and per-connection malformed input must never take down the
-// server or its other connections.
+// server or its other connections. Timed collectors' low marks must
+// release sequenced records long before the horizon without making any
+// late, while a silent or stalled collector leaves release to the
+// horizon.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +29,7 @@
 #include "stream/fleet_view.h"
 #include "stream/sharded_engine.h"
 #include "stream/source.h"
+#include "telemetry/metrics.h"
 #include "ts/generators.h"
 
 namespace asap {
@@ -704,6 +710,304 @@ TEST(WireServerTest, UdsRefusesToClobberANonSocketPath) {
   ASSERT_NE(f, nullptr);
   std::fclose(f);
   ::unlink(path.c_str());
+}
+
+// --- Low marks ---------------------------------------------------------
+
+/// Timed panes two points wide on a one-tick-per-point clock.
+StreamingOptions TimedOptions() {
+  StreamingOptions options = FleetOptions();
+  options.pane_epoch = 0;
+  options.pane_width_ticks =
+      static_cast<int64_t>(StreamingAsap::Create(options).ValueOrDie()
+                               .pane_size());
+  return options;
+}
+
+/// The engine's sequencer instruments, summed (or maxed) over shards.
+struct SeqReadout {
+  uint64_t emitted = 0;
+  double buffered = 0.0;
+  double floor_lag_max = 0.0;
+};
+
+SeqReadout ReadSequencers(const telemetry::MetricsRegistry& registry) {
+  SeqReadout r;
+  for (const auto& entry : registry.Entries()) {
+    if (entry.spec.name == "asap_seq_emitted_total" && entry.counter) {
+      r.emitted += entry.counter->Value();
+    } else if (entry.spec.name == "asap_seq_buffered" && entry.gauge) {
+      r.buffered += entry.gauge->Value();
+    } else if (entry.spec.name == "asap_seq_floor_lag_ticks" && entry.gauge) {
+      r.floor_lag_max = std::max(r.floor_lag_max, entry.gauge->Value());
+    }
+  }
+  return r;
+}
+
+/// Waits until every one of `sent` records has reached a sequencer
+/// (released or staged); false after 10 s.
+bool WaitStaged(const telemetry::MetricsRegistry& registry, uint64_t sent,
+                SeqReadout* out) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    *out = ReadSequencers(registry);
+    if (out->emitted + static_cast<uint64_t>(out->buffered) == sent) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+/// Waits until exactly `n` connections are open; false after 10 s.
+/// Collectors wait for each other's accept before sending, so none of
+/// them first connects behind a floor the others already released.
+bool WaitActive(const WireServer& server, size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.active_connections() != n) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// A timed UDS rig: engine with a sequencer, server, and collectors
+/// whose series i belongs to collector i % collectors, point j of every
+/// series at ts j. The engine runs on its own thread.
+struct TimedRig {
+  TimedRig(const char* tag, size_t shards, size_t loops, int64_t horizon,
+           size_t collectors, size_t series)
+      : uds_path(TestUdsPath(tag)), series_count(series) {
+    stream::ShardedEngineOptions engine_options;
+    engine_options.shards = shards;
+    engine_options.sequencer_horizon_ticks = horizon;
+    engine.emplace(
+        stream::ShardedEngine::Create(TimedOptions(), engine_options)
+            .ValueOrDie());
+    WireServerOptions server_options;
+    server_options.enable_tcp = false;
+    server_options.uds_path = uds_path;
+    server_options.num_event_loops = loops;
+    server.emplace(
+        WireServer::Create(server_options, engine->catalog()).ValueOrDie());
+    server->Start();
+    for (size_t i = 0; i < series; ++i) {
+      ids.push_back(sender.Intern(HostName(i)));
+    }
+    WireClientOptions client_options;
+    client_options.catalog = &sender;
+    client_options.timestamped = true;
+    for (size_t c = 0; c < collectors; ++c) {
+      // Alternate encodings: 0xA7 frames and three-token text lines.
+      client_options.encoding =
+          c % 2 == 0 ? WireEncoding::kBinary : WireEncoding::kText;
+      clients.push_back(
+          WireClient::ConnectUds(uds_path, client_options).ValueOrDie());
+    }
+    accepted = WaitActive(*server, collectors);
+    source.emplace(&*server);
+    runner = std::thread([this] { report = engine->RunToCompletion(&*source); });
+  }
+
+  double Value(size_t i, int64_t j) const {
+    return values[i][static_cast<size_t>(j)];
+  }
+
+  /// Collector c sends points [from, to) of each of its series.
+  void Send(size_t c, int64_t from, int64_t to) {
+    RecordBatch batch;
+    for (int64_t j = from; j < to; ++j) {
+      for (size_t i = c; i < series_count; i += clients.size()) {
+        batch.push_back(Record{ids[i], Value(i, j), j});
+      }
+    }
+    ASSERT_TRUE(clients[c].Send(batch).ok());
+    ASSERT_TRUE(clients[c].Flush().ok());
+    sent += batch.size();
+  }
+
+  stream::FleetReport Finish() {
+    for (WireClient& client : clients) {
+      client.Close();
+    }
+    runner.join();
+    return report;
+  }
+
+  /// Each series' frame equals a lone operator fed points [0, n) in
+  /// time order.
+  void ExpectFramesMatch(int64_t n) const {
+    for (size_t i = 0; i < series_count; ++i) {
+      std::vector<int64_t> ts;
+      for (int64_t j = 0; j < n; ++j) {
+        ts.push_back(j);
+      }
+      StreamingAsap direct = StreamingAsap::Create(TimedOptions()).ValueOrDie();
+      direct.PushTimed(values[i].data(), ts.data(), static_cast<size_t>(n));
+      const auto frame = engine->Snapshot(HostName(i));
+      ASSERT_NE(frame, nullptr) << HostName(i);
+      EXPECT_EQ(frame->series, direct.frame().series) << HostName(i);
+      EXPECT_EQ(frame->refreshes, direct.frame().refreshes) << HostName(i);
+    }
+  }
+
+  std::string uds_path;
+  size_t series_count;
+  std::optional<stream::ShardedEngine> engine;
+  std::optional<WireServer> server;
+  SeriesCatalog sender;
+  std::vector<stream::SeriesId> ids;
+  std::vector<std::vector<double>> values;
+  std::vector<WireClient> clients;
+  bool accepted = false;
+  std::optional<NetMultiSource> source;
+  std::thread runner;
+  stream::FleetReport report;
+  uint64_t sent = 0;
+};
+
+// Two timed collectors, B one step behind A, under a horizon longer
+// than the whole replay: without marks nothing would leave the
+// sequencer before end of stream. With them, release follows B, no
+// record is late, and frames are bitwise the in-order reference.
+TEST(WireServerLowMarkTest, LaggingCollectorsReleaseEarlyAndLateFree) {
+  constexpr size_t kSeries = 8;
+  constexpr int64_t kSteps = 40;
+  constexpr int64_t kStep = 50;  // ticks per send
+  constexpr int64_t kPoints = kSteps * kStep;
+  for (size_t shards : {size_t{1}, size_t{2}}) {
+    for (size_t loops : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " loops=" + std::to_string(loops));
+      TimedRig rig("lowmark", shards, loops, /*horizon=*/1'000'000,
+                   /*collectors=*/2, kSeries);
+      ASSERT_TRUE(rig.accepted);
+      for (size_t i = 0; i < kSeries; ++i) {
+        rig.values.push_back(FleetSeries(i, kPoints));
+      }
+      double peak_buffered = 0.0;
+      for (int64_t k = 0; k <= kSteps; ++k) {
+        if (k < kSteps) {
+          rig.Send(0, k * kStep, (k + 1) * kStep);
+        }
+        if (k >= 1) {
+          rig.Send(1, (k - 1) * kStep, k * kStep);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        peak_buffered = std::max(peak_buffered,
+                                 ReadSequencers(*rig.engine->metrics()).buffered);
+      }
+      SeqReadout before_close;
+      ASSERT_TRUE(WaitStaged(*rig.engine->metrics(), rig.sent, &before_close));
+      const stream::FleetReport report = rig.Finish();
+
+      EXPECT_EQ(report.late, 0u);
+      EXPECT_EQ(report.points, rig.sent);
+      EXPECT_EQ(report.series, kSeries);
+      // A horizon's worth is the whole replay (16000 records). Marks
+      // keep about two steps of it staged; a loaded machine can add one
+      // engine pull (a server batch larger than the pull is marked only
+      // once the rest of it is pulled), hence the looser sampled bound.
+      EXPECT_LT(peak_buffered, static_cast<double>(rig.sent) / 2);
+      EXPECT_LT(before_close.buffered, static_cast<double>(rig.sent) / 8);
+      EXPECT_LT(before_close.floor_lag_max, 1'000'000.0);
+      rig.ExpectFramesMatch(kPoints);
+    }
+  }
+}
+
+// A collector that is connected but holds its data back — silent from
+// the start, or stopped mid-stream — holds release back to the
+// horizon: records still leave once the horizon passes them, never
+// later. Once it closes, it leaves the minimum and the next batch
+// releases everything older than the live collector's newest record.
+TEST(WireServerLowMarkTest, StalledCollectorLeavesReleaseToTheHorizon) {
+  constexpr int64_t kHorizon = 200;
+  constexpr int64_t kPoints = 1001;
+  for (bool silent : {true, false}) {
+    for (size_t loops : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE(std::string(silent ? "silent" : "mid-stream") +
+                   " loops=" + std::to_string(loops));
+      TimedRig rig("stall", /*shards=*/1, loops, kHorizon,
+                   /*collectors=*/2, /*series=*/2);
+      ASSERT_TRUE(rig.accepted);
+      for (size_t i = 0; i < 2; ++i) {
+        rig.values.push_back(FleetSeries(i, kPoints));
+      }
+      // B (series 1) sends [0, 100) unless silent, then stalls; A
+      // (series 0) runs on to 999.
+      const int64_t b_sent = silent ? 0 : 100;
+      if (!silent) {
+        rig.Send(0, 0, 100);
+        rig.Send(1, 0, b_sent);
+        // B's records must be staged before A runs a horizon ahead, or
+        // a loaded machine could make them late by the horizon rule.
+        SeqReadout staged;
+        ASSERT_TRUE(WaitStaged(*rig.engine->metrics(), rig.sent, &staged));
+      }
+      for (int64_t j = silent ? 0 : 100; j < 1000; j += 100) {
+        rig.Send(0, j, j + 100);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      SeqReadout held;
+      ASSERT_TRUE(WaitStaged(*rig.engine->metrics(), rig.sent, &held));
+      // Watermark 999: the horizon releases ts <= 799 of A, and B's
+      // stalled mark (99, or none) adds nothing.
+      EXPECT_EQ(held.emitted, static_cast<uint64_t>(800 + b_sent));
+      EXPECT_EQ(held.floor_lag_max, static_cast<double>(kHorizon));
+
+      // B closes; A's next record carries a mark of 1000.
+      rig.clients[1].Close();
+      ASSERT_TRUE(WaitActive(*rig.server, 1));
+      rig.Send(0, 1000, 1001);
+      SeqReadout released;
+      ASSERT_TRUE(WaitStaged(*rig.engine->metrics(), rig.sent, &released));
+      EXPECT_EQ(released.emitted, static_cast<uint64_t>(1000 + b_sent));
+      EXPECT_EQ(released.floor_lag_max, 1.0);
+
+      const stream::FleetReport report = rig.Finish();
+      EXPECT_EQ(report.late, 0u);
+      EXPECT_EQ(report.points, rig.sent);
+    }
+  }
+}
+
+// At horizon 0 the mark is stripped and ignored: it never becomes a
+// series, a point or a count, and every decoded record is a point.
+TEST(WireServerLowMarkTest, ControlRecordNeverReachesTheFleet) {
+  // The second horizon is wider than any skew a loaded machine can put
+  // between the two connections, so only a mark can release early.
+  for (int64_t horizon : {int64_t{0}, int64_t{1} << 20}) {
+    SCOPED_TRACE("horizon=" + std::to_string(horizon));
+    TimedRig rig("ctl", /*shards=*/2, /*loops=*/1, horizon,
+                 /*collectors=*/2, /*series=*/4);
+    ASSERT_TRUE(rig.accepted);
+    for (size_t i = 0; i < 4; ++i) {
+      rig.values.push_back(FleetSeries(i, 600));
+    }
+    for (int64_t j = 0; j < 600; j += 60) {
+      rig.Send(0, j, j + 60);
+      rig.Send(1, j, j + 60);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const stream::FleetReport report = rig.Finish();
+    EXPECT_EQ(report.points, rig.server->stats().records);
+    EXPECT_EQ(report.points, rig.sent);
+    uint64_t shard_points = 0;
+    for (const stream::ShardReport& sr : report.shards) {
+      shard_points += sr.points;
+    }
+    EXPECT_EQ(shard_points, report.points);
+    EXPECT_EQ(report.late, 0u);
+    EXPECT_EQ(report.series, 4u);
+    EXPECT_EQ(rig.engine->catalog()->size(), 4u);
+    rig.ExpectFramesMatch(600);
+  }
 }
 
 }  // namespace
