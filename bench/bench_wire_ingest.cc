@@ -7,7 +7,8 @@
 //
 // A second table scales *connections* instead of bytes: the old
 // poll()-architecture baseline at 256 connections vs the epoll server
-// at 256, 256 + idle herd, and ~10k active — records/s plus the
+// at 256, 256 + idle herd, and ~10k active (untimed, and timed so
+// every connection carries a low mark) — records/s plus the
 // events-per-wakeup ratio that shows epoll amortising syscalls.
 //
 //   $ ./bench_wire_ingest [records_millions]
@@ -172,12 +173,14 @@ double LoopbackEngine(const SeriesCatalog& catalog, const RecordBatch& records,
 // --- Connection scaling -----------------------------------------------------
 
 /// Pre-encodes one connection's replay: the first `per_conn` records
-/// as binary frames (registrations included, as on a fresh session).
+/// as binary frames (registrations included, as on a fresh session),
+/// 0xA7 frames when `timestamped`.
 std::string EncodeSlice(const SeriesCatalog& catalog,
-                        const RecordBatch& records, size_t per_conn) {
+                        const RecordBatch& records, size_t per_conn,
+                        bool timestamped = false) {
   std::string wire;
   asap::net::WireEncoder encoder(&catalog, WireEncoding::kBinary,
-                                 /*frame_records=*/512);
+                                 /*frame_records=*/512, timestamped);
   encoder.Encode(records.data(), std::min(per_conn, records.size()), &wire);
   return wire;
 }
@@ -486,6 +489,17 @@ int main(int argc, char** argv) {
                                            /*repeats=*/1, /*loops=*/1);
   Row({"epoll " + std::to_string(big_conns) + " active",
        FmtEng(epoll_big.rec_per_s), Fmt(epoll_big.events_per_wakeup, 1)},
+      22);
+
+  // The same fleet on 0xA7 frames: every connection holds a low mark
+  // the loop folds into each flushed batch's mark.
+  const std::string wire_timed =
+      EncodeSlice(catalog, records, kPerConn, /*timestamped=*/true);
+  const ConnScaling epoll_big_timed = EpollDrain(
+      big_conns, 0, wire_timed, kPerConn, /*repeats=*/1, /*loops=*/1);
+  Row({"epoll " + std::to_string(big_conns) + " timed",
+       FmtEng(epoll_big_timed.rec_per_s),
+       Fmt(epoll_big_timed.events_per_wakeup, 1)},
       22);
   Rule(3, 22);
   std::printf(

@@ -291,6 +291,8 @@ size_t FrameDecoder::DecodeSome(const char* data, size_t size,
             std::memcpy(&r.value, p + 4, 8);
             if (timed) {
               r.ts = GetI64(p + 12);
+              timed_in_order_ &= r.ts >= last_timed_ts_;
+              last_timed_ts_ = r.ts;
               stats_.timed_records += 1;
             } else {
               r.ts = stamp_clock_ != nullptr ? stamp_clock_(stamp_ctx_) : 0;
@@ -451,6 +453,8 @@ void FrameDecoder::DecodeLine(const char* line, size_t len,
     text_ids_.emplace(catalog_->NameOf(id), id);
   }
   if (timed) {
+    timed_in_order_ &= ts >= last_timed_ts_;
+    last_timed_ts_ = ts;
     stats_.timed_records += 1;
   } else {
     ts = stamp_clock_ != nullptr ? stamp_clock_(stamp_ctx_) : 0;

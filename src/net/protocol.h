@@ -54,6 +54,16 @@
 //     - Identical registration/unknown-id semantics to 0xA5; the only
 //       difference is the trailing per-record timestamp, carried
 //       through to Record::ts verbatim.
+//     - Timestamps should not decrease along one connection (0xA7
+//       records and three-token text lines alike). A connection that
+//       keeps that order, and sends only timed records, lets the
+//       server release its records early: its newest timestamp is a
+//       low mark (see WireServer::low_mark). A connection that breaks
+//       the order is still decoded in full, but it never gives a
+//       mark again, so release falls back to the sequencer horizon.
+//       Its records that arrive behind what its earlier marks already
+//       released are late; a collector that does not keep the order
+//       should break it in its first frame.
 //
 //   Common binary rules:
 //     - 0xA5/0xA6/0xA7 can never begin a valid text line (they are
@@ -283,6 +293,15 @@ class FrameDecoder {
 
   const DecoderStats& stats() const { return stats_; }
 
+  /// The stream's low mark: its newest wire timestamp while every
+  /// record it decoded carried one and none went back in time;
+  /// stream::kNoLowMark before the first timed record and, for good,
+  /// once a record was server-stamped or older than its predecessor.
+  int64_t low_mark() const {
+    return timed_in_order_ && stats_.stamped_records == 0 ? last_timed_ts_
+                                                         : stream::kNoLowMark;
+  }
+
  private:
   /// Decodes complete frames from data[0, size); returns the number of
   /// bytes consumed (the tail is a partial frame the caller carries).
@@ -313,6 +332,10 @@ class FrameDecoder {
   bool discarding_line_ = false;
   StampClock stamp_clock_ = nullptr;
   void* stamp_ctx_ = nullptr;
+  /// The newest wire-timed record's ts, and whether no timed record
+  /// so far was older than the one before it (one compare each).
+  int64_t last_timed_ts_ = stream::kNoLowMark;
+  bool timed_in_order_ = true;
   DecoderStats stats_;
 };
 

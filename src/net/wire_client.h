@@ -28,7 +28,12 @@ struct WireClientOptions {
   /// Send per-record timestamps: 0xA7 frames instead of 0xA5,
   /// three-token text lines instead of two. Each record's Record::ts
   /// travels verbatim. Off by default — the pre-timestamp wire bytes
-  /// are unchanged, and the receiver server-stamps.
+  /// are unchanged, and the receiver server-stamps. Send timestamps
+  /// in non-decreasing order on one client: the server then releases
+  /// the records as soon as every collector has moved past them. Out
+  /// of order is still accepted, but the server stops using this
+  /// connection's timestamps as a low mark, and its records (and the
+  /// fleet's) wait out the sequencer horizon instead.
   bool timestamped = false;
   /// Records per binary frame (text is unframed lines). Clamped to
   /// kDefaultMaxFrameRecords (kDefaultMaxTimedFrameRecords when

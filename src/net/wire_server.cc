@@ -65,14 +65,11 @@ struct WireServer::Core {
     /// next fold adds only the delta. Lets stats() read atomics only —
     /// never a decoder a loop thread is concurrently mutating.
     DecoderStats folded;
-    /// Newest wire timestamp decoded here (kNoLowMark until a Feed
-    /// yields only wire-timed records). A timed connection promises
-    /// non-decreasing timestamps, so nothing older follows it: this is
-    /// the connection's low mark.
+    /// The connection's low mark as of its last Feed: the decoder's
+    /// newest wire timestamp while the stream keeps its order
+    /// (kNoLowMark while it has none), or kNoConstraint once the
+    /// stream ended and no longer holds the loop's mark back.
     int64_t mark = stream::kNoLowMark;
-    /// The stream ended this turn: it sends nothing more, so it no
-    /// longer holds the loop's mark back.
-    bool closing = false;
   };
 
   /// A loop's low mark as of one flushed batch: the minimum mark over
@@ -200,9 +197,14 @@ struct WireServer::Core {
     LoopCounters counters;
     /// Connections ever handed to AdoptConnection (loop thread only).
     uint64_t adopted = 0;
-    /// Open, not closing connections with no mark yet (loop thread
-    /// only): while any exists the loop's mark is none, found in O(1).
+    /// Open connections whose mark is none (loop thread only): while
+    /// any exists the loop's mark is none, found in O(1).
     size_t unmarked = 0;
+    /// The minimum mark over the loop's marked connections, valid
+    /// unless `min_stale` (loop thread only). Marks only rise, so it
+    /// goes stale only when the connection holding it moves on.
+    int64_t min_mark = kNoConstraint;
+    bool min_stale = false;
     /// The mark this loop last published (loop thread only).
     LoopMark published;
     /// Guarded by queue_mu: the mark of this loop's newest flush, its
@@ -337,21 +339,46 @@ struct WireServer::Core {
     conn->folded = conn->decoder.stats();
   }
 
+  /// Moves a connection's mark to `m`, keeping the loop's unmarked
+  /// count and cached minimum in step.
+  static void SetMark(Loop* l, Connection* conn, int64_t m) {
+    const int64_t old = conn->mark;
+    if (m == old) {
+      return;
+    }
+    if (old == stream::kNoLowMark) {
+      l->unmarked -= 1;
+    }
+    if (m == stream::kNoLowMark) {
+      l->unmarked += 1;
+    }
+    if (old == l->min_mark) {
+      l->min_stale = true;
+    } else if (m != stream::kNoLowMark) {
+      l->min_mark = std::min(l->min_mark, m);
+    }
+    conn->mark = m;
+  }
+
   /// The loop's mark now: every record its connections decoded so far
   /// is in the batch being flushed or an earlier one, and none they
-  /// decode later is older than this.
-  static LoopMark CurrentMark(const Loop* l) {
+  /// decode later is older than this. O(1) unless the connection
+  /// holding the minimum moved since the last call.
+  static LoopMark CurrentMark(Loop* l) {
     LoopMark m;
     m.adopted = l->adopted;
     if (l->unmarked > 0) {
       m.mark = stream::kNoLowMark;
       return m;
     }
-    for (const auto& entry : l->conns) {
-      if (!entry.second->closing) {
-        m.mark = std::min(m.mark, entry.second->mark);
+    if (l->min_stale) {
+      l->min_mark = kNoConstraint;
+      for (const auto& entry : l->conns) {
+        l->min_mark = std::min(l->min_mark, entry.second->mark);
       }
+      l->min_stale = false;
     }
+    m.mark = l->min_mark;
     return m;
   }
 
@@ -490,24 +517,12 @@ struct WireServer::Core {
       const RecvStatus rs = RecvSome(conn->sock.fd(), l->read_buffer.data(),
                                      l->read_buffer.size(), &n);
       if (rs == RecvStatus::kData) {
-        const DecoderStats& ds = conn->decoder.stats();
-        const uint64_t timed_before = ds.timed_records;
-        const uint64_t stamped_before = ds.stamped_records;
         if (!conn->decoder.Feed(l->read_buffer.data(), n, l->batch.get())) {
           poisoned->Increment();
           dead = true;
           break;
         }
-        // Once per Feed, not per record: when it decoded wire-timed
-        // records only, the batch's last record is the newest one.
-        // A Feed with any server-stamped record leaves the mark alone.
-        if (ds.timed_records != timed_before &&
-            ds.stamped_records == stamped_before) {
-          if (conn->mark == stream::kNoLowMark) {
-            l->unmarked -= 1;
-          }
-          conn->mark = l->batch->back().ts;
-        }
+        SetMark(l, conn, conn->decoder.low_mark());  // once per Feed
         continue;
       }
       if (rs == RecvStatus::kWouldBlock) {
@@ -526,10 +541,8 @@ struct WireServer::Core {
     }
     FoldDelta(conn, &l->counters);
     if (dead) {
-      if (conn->mark == stream::kNoLowMark) {
-        l->unmarked -= 1;
-      }
-      conn->closing = true;
+      // It sends nothing more, so it no longer holds the mark back.
+      SetMark(l, conn, kNoConstraint);
       l->dead.push_back(tag);
     }
   }

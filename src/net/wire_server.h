@@ -25,10 +25,14 @@
 // which is the property determinism parity rests on.
 //
 // Low marks: a timed connection (0xA7 frames, three-token text lines)
-// promises non-decreasing timestamps, so its newest decoded timestamp
-// is a *low mark*: nothing older follows on it. Each loop stamps every
+// should send non-decreasing timestamps, so its newest decoded
+// timestamp is a *low mark*: nothing older follows on it. The decoder
+// checks that promise record by record; a connection that breaks it
+// (or sends a server-stamped record) has no mark from then on, which
+// leaves release to the horizon again. Its records older than what
+// its earlier mark already released are late. Each loop stamps every
 // batch it flushes with the minimum over its open connections (none
-// while one of them has sent no timed record yet), and PollOnce turns
+// while one of them has no mark), and PollOnce turns
 // the marks of the batches it has fully handed out into the server's
 // low_mark(): the minimum over loops, none until every accepted
 // connection is covered. NetMultiSource carries it in-band to the

@@ -292,6 +292,23 @@ struct ShardedEngine::Shard {
     return 0;
   }
 
+  /// Hands a low mark to a shard with no records in this pull. A
+  /// queued element takes it without a wake-up (it holds the shard's
+  /// newest records, so the mark still follows every record it
+  /// covers); only an idle shard gets a mark-only element, since the
+  /// mark may release what it already holds. Never blocks or drops.
+  void PassMark(int64_t low_mark) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!queue.empty()) {
+      queue.back().low_mark = std::max(queue.back().low_mark, low_mark);
+      return;
+    }
+    queue.push_back(Element{RecordBatch{}, low_mark});
+    peak_queue_depth = std::max<size_t>(peak_queue_depth, 1);
+    queue_depth->Set(1.0);
+    not_empty.notify_one();
+  }
+
   void Close() {
     std::lock_guard<std::mutex> lock(mu);
     closed = true;
@@ -685,12 +702,8 @@ FleetReport ShardedEngine::Run(MultiSource* source, double budget_seconds) {
     }
     for (size_t i = 0; i < num_shards; ++i) {
       if (split[i].empty()) {
-        // A shard with no records in this pull still needs the mark:
-        // it may release what it already holds.
         if (low_mark != kNoLowMark) {
-          report.dropped += shards_[i]->Enqueue(
-              RecordBatch{}, low_mark, options_.queue_capacity,
-              options_.overflow_policy, pane_size_, options_.batch_size);
+          shards_[i]->PassMark(low_mark);
         }
         continue;
       }

@@ -455,6 +455,55 @@ TEST(WireProtocolTest, StampClockStampsOnlyUnstampedRecords) {
   EXPECT_EQ(decoder.stats().stamped_records, 2u);
 }
 
+TEST(WireProtocolTest, LowMarkFollowsInOrderTimedRecordsOnly) {
+  // In order: the mark is the newest wire timestamp, equal ones too.
+  SeriesCatalog sink;
+  FrameDecoder ordered(&sink);
+  EXPECT_EQ(ordered.low_mark(), stream::kNoLowMark);
+  std::string wire;
+  AppendNameFrame(0, "b", &wire);
+  const RecordBatch first = {{0, 1.0, 10}, {0, 2.0, 10}, {0, 3.0, 12}};
+  AppendTimedFrame(first.data(), first.size(), &wire);
+  RecordBatch out;
+  EXPECT_TRUE(ordered.Feed(wire.data(), wire.size(), &out));
+  EXPECT_EQ(ordered.low_mark(), 12);
+  wire.clear();
+  AppendTextRecord("a", 4.0, 15, &wire);
+  EXPECT_TRUE(ordered.Feed(wire.data(), wire.size(), &out));
+  EXPECT_EQ(ordered.low_mark(), 15);
+
+  // One record older than its predecessor, in either wire form, ends
+  // the mark for good: newer records after it do not bring it back.
+  for (bool text : {false, true}) {
+    SCOPED_TRACE(text ? "text" : "binary");
+    FrameDecoder decoder(&sink);
+    wire.clear();
+    if (text) {
+      AppendTextRecord("a", 1.0, 20, &wire);
+      AppendTextRecord("a", 2.0, 19, &wire);
+    } else {
+      AppendNameFrame(0, "b", &wire);
+      const RecordBatch shuffled = {{0, 1.0, 20}, {0, 2.0, 19}};
+      AppendTimedFrame(shuffled.data(), shuffled.size(), &wire);
+    }
+    EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
+    EXPECT_EQ(decoder.low_mark(), stream::kNoLowMark);
+    wire.clear();
+    AppendTextRecord("a", 3.0, 30, &wire);
+    EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
+    EXPECT_EQ(decoder.low_mark(), stream::kNoLowMark);
+  }
+
+  // A server-stamped record ends it as well.
+  FrameDecoder mixed(&sink);
+  wire.clear();
+  AppendTextRecord("a", 1.0, 20, &wire);
+  AppendTextRecord("a", 2.0, &wire);
+  AppendTextRecord("a", 3.0, 21, &wire);
+  EXPECT_TRUE(mixed.Feed(wire.data(), wire.size(), &out));
+  EXPECT_EQ(mixed.low_mark(), stream::kNoLowMark);
+}
+
 TEST(WireProtocolTest, BadTimestampTokensAreMalformed) {
   SeriesCatalog sink;
   FrameDecoder decoder(&sink);

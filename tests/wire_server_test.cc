@@ -818,14 +818,24 @@ struct TimedRig {
     return values[i][static_cast<size_t>(j)];
   }
 
-  /// Collector c sends points [from, to) of each of its series.
-  void Send(size_t c, int64_t from, int64_t to) {
+  /// Collector c's records for points [from, to) of each of its
+  /// series, in time order.
+  RecordBatch Points(size_t c, int64_t from, int64_t to) const {
     RecordBatch batch;
     for (int64_t j = from; j < to; ++j) {
       for (size_t i = c; i < series_count; i += clients.size()) {
         batch.push_back(Record{ids[i], Value(i, j), j});
       }
     }
+    return batch;
+  }
+
+  /// Collector c sends points [from, to) of each of its series.
+  void Send(size_t c, int64_t from, int64_t to) {
+    SendBatch(c, Points(c, from, to));
+  }
+
+  void SendBatch(size_t c, const RecordBatch& batch) {
     ASSERT_TRUE(clients[c].Send(batch).ok());
     ASSERT_TRUE(clients[c].Flush().ok());
     sent += batch.size();
@@ -974,6 +984,65 @@ TEST(WireServerLowMarkTest, StalledCollectorLeavesReleaseToTheHorizon) {
       EXPECT_EQ(report.late, 0u);
       EXPECT_EQ(report.points, rig.sent);
     }
+  }
+}
+
+// A collector that shuffles its records within the horizon breaks the
+// timed-connection promise in its first frame. It then gives no mark,
+// so release falls back to the horizon, which absorbs the shuffle:
+// nothing is late and frames are the in-order reference. Covers the
+// binary (collector 0) and text (collector 1) wire forms.
+TEST(WireServerLowMarkTest, ShuffledCollectorFallsBackToTheHorizon) {
+  constexpr size_t kSeries = 4;
+  constexpr int64_t kSteps = 40;
+  constexpr int64_t kStep = 50;  // ticks per send
+  constexpr int64_t kPoints = kSteps * kStep;
+  constexpr int64_t kHorizon = 1000;
+  for (size_t shuffler : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("shuffler=" + std::to_string(shuffler));
+    TimedRig rig("shuffle", /*shards=*/2, /*loops=*/1, kHorizon,
+                 /*collectors=*/2, kSeries);
+    ASSERT_TRUE(rig.accepted);
+    for (size_t i = 0; i < kSeries; ++i) {
+      rig.values.push_back(FleetSeries(i, kPoints));
+    }
+    // The shuffler's whole stream, shuffled in blocks of three sends:
+    // a record moves at most three steps (150 ticks), and every send
+    // holds records older than the last one of the send before it.
+    RecordBatch shuffled = rig.Points(shuffler, 0, kPoints);
+    const size_t per_send = shuffled.size() / kSteps;
+    Pcg32 rng(shuffler + 7);
+    for (size_t begin = 0; begin < shuffled.size(); begin += 3 * per_send) {
+      const size_t end = std::min(shuffled.size(), begin + 3 * per_send);
+      for (size_t k = end - 1; k > begin; --k) {
+        std::swap(shuffled[k],
+                  shuffled[begin + rng.NextBounded(
+                                       static_cast<uint32_t>(k - begin + 1))]);
+      }
+    }
+    const size_t steady = 1 - shuffler;
+    for (int64_t k = 0; k <= kSteps; ++k) {
+      if (k < kSteps) {
+        rig.Send(steady, k * kStep, (k + 1) * kStep);
+      }
+      if (k >= 1) {
+        const auto from = shuffled.begin() +
+                          static_cast<ptrdiff_t>((k - 1) * per_send);
+        rig.SendBatch(shuffler, RecordBatch(
+                                    from, from + static_cast<ptrdiff_t>(
+                                                     per_send)));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    SeqReadout held;
+    EXPECT_TRUE(WaitStaged(*rig.engine->metrics(), rig.sent, &held));
+    // No mark ever moved the floor: it trails the watermark by exactly
+    // the horizon.
+    EXPECT_EQ(held.floor_lag_max, static_cast<double>(kHorizon));
+    const stream::FleetReport report = rig.Finish();
+    EXPECT_EQ(report.late, 0u);
+    EXPECT_EQ(report.points, rig.sent);
+    rig.ExpectFramesMatch(kPoints);
   }
 }
 
